@@ -16,12 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    STACK_BYTES,
     PauliString,
     RngStream,
-    haar_unitary,
+    _pauli_action,
+    code_letters,
+    ginibre,
+    haar_from_ginibre,
+    is_unitary,
+    matrices_per_block,
+    pauli_code,
     pauli_rotation,
     rotate_state,
-    sample_pauli,
     zero_state,
 )
 
@@ -47,13 +53,18 @@ class AnsatzSpec:
         if len(self.generators) != len(self.fixed_unitaries):
             raise ValueError("generator and fixed-unitary lists must have equal length")
         dim = 1 << self.num_qubits
-        eye = np.eye(dim)
+        # hardware-efficient circuits reuse one identity array for most layers:
+        # each distinct array is checked once
+        checked = set()
         for w in self.fixed_unitaries:
             if w.shape != (dim, dim):
                 raise ValueError("fixed unitary has wrong dimension")
-            if np.max(np.abs(w.conj().T @ w - eye)) > 1e-10:
+            if id(w) in checked:
+                continue
+            if not is_unitary(w):
                 raise ValueError("fixed layer matrix is not unitary")
             w.setflags(write=False)
+            checked.add(id(w))
 
     @property
     def num_layers(self) -> int:
@@ -71,6 +82,10 @@ class AnsatzSpec:
             )
         return theta
 
+    def batch(self, size: int = 1) -> "CircuitBatch":
+        """This circuit repeated ``size`` times, sharing every layer."""
+        return CircuitBatch.from_specs([self] * size)
+
     def fingerprint(self) -> str:
         """Short content hash (generator letters + fixed-unitary bytes)."""
         import hashlib
@@ -83,6 +98,133 @@ class AnsatzSpec:
         return h.hexdigest()[:16]
 
 
+@dataclass(frozen=True)
+class CircuitBatch:
+    """S circuits of equal width and depth, laid out for the batched engine.
+
+    ``fixed[l]`` is the fixed unitary of layer l+1: an (S, D, D) stack with one
+    matrix per circuit, or a single (D, D) matrix that all S circuits share.
+    ``perms[l]`` and ``phases[l]`` apply the layer's Pauli generator as in
+    :func:`linalg._pauli_action`, one row per circuit, or a single row when
+    the generator is shared; both have shape (L, S or 1, D).
+    """
+
+    num_qubits: int
+    size: int
+    fixed: tuple[np.ndarray, ...] = field(repr=False)
+    perms: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.fixed)
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.num_qubits
+
+    @classmethod
+    def from_specs(cls, specs) -> "CircuitBatch":
+        """Batch of validated circuits.
+
+        A layer whose fixed matrix is the same in every circuit (the same
+        array, or equal entries) is passed once as a shared (D, D) matrix and
+        never copied; the others are stacked.
+        """
+        first = specs[0]
+        if any(
+            s.num_qubits != first.num_qubits or s.num_layers != first.num_layers for s in specs
+        ):
+            raise ValueError("batched circuits must have equal width and depth")
+        fixed = []
+        for layer, w in enumerate(first.fixed_unitaries):
+            others = [s.fixed_unitaries[layer] for s in specs[1:]]
+            if all(o is w or np.array_equal(o, w) for o in others):
+                fixed.append(w)
+            else:
+                fixed.append(np.stack([w] + others))
+        if all(s.generators == first.generators for s in specs):
+            rows = [first.generators]
+        else:
+            rows = [s.generators for s in specs]
+        letters = sorted({g.letters for row in rows for g in row})
+        where = {x: i for i, x in enumerate(letters)}
+        index = np.array([[where[g.letters] for g in row] for row in rows], dtype=np.intp)
+        perms, phases = _generator_tables(letters, index.T, first.dim)
+        return cls(first.num_qubits, len(specs), tuple(fixed), perms, phases)
+
+
+def _generator_tables(letters: list[str], index: np.ndarray, dim: int):
+    """Permutation and phase tables of the generators ``letters[index[l, s]]``."""
+    if not letters:
+        return np.empty(index.shape + (dim,), dtype=np.intp), np.empty(index.shape + (dim,), dtype=complex)
+    actions = [_pauli_action(x) for x in letters]
+    perms = np.stack([a[0] for a in actions])[index]
+    phases = np.stack([a[1] for a in actions])[index]
+    return perms, phases
+
+
+def samples_per_chunk(dim: int, layers: int) -> int:
+    """Circuits per ensemble chunk: as many random-Haar circuits as fit in STACK_BYTES.
+
+    The chunk grid of an ensemble depends only on its width and depth, never
+    on how many workers compute it, so every circuit is always batched with
+    the same companions and results do not depend on the worker count.
+    """
+    return max(1, STACK_BYTES // (max(layers, 1) * dim * dim * 16))
+
+
+def chunk_grid(count: int, dim: int, layers: int) -> list[tuple[int, int]]:
+    """Index ranges [lo, hi) of the ensemble chunks of ``count`` circuits."""
+    step = samples_per_chunk(dim, layers)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _draw_random_layers(n: int, layers: int, streams, exclude_identity: bool):
+    """Generator codes (S, L) and Haar fixed layers (S, L, D, D) of S random circuits.
+
+    Circuit s draws from ``streams[s]`` in the order of a circuit built alone:
+    per layer the generator code, then the real and the imaginary part of the
+    Ginibre matrix.  The Ginibre matrices are QR'd and phase-fixed in blocks
+    of at most STACK_BYTES, so at D >= 128 one matrix at a time.
+    """
+    if n < 1 or layers < 0:
+        raise ValueError("need n >= 1 and layers >= 0")
+    dim = 1 << n
+    count = len(streams) * layers
+    codes = np.empty((len(streams), layers), dtype=np.int64)
+    stack = np.empty((len(streams), layers, dim, dim), dtype=complex)
+    flat = stack.reshape(count, dim, dim)
+    step = matrices_per_block(dim)
+    real = np.empty((min(step, count), dim, dim))
+    imag = np.empty_like(real)
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        for i in range(lo, hi):
+            s, layer = divmod(i, layers)
+            rng = streams[s]
+            codes[s, layer] = pauli_code(n, rng, exclude_identity)
+            rng.generator.standard_normal(out=real[i - lo])
+            rng.generator.standard_normal(out=imag[i - lo])
+        block = flat[lo:hi]
+        block[...] = haar_from_ginibre(ginibre(real[: hi - lo], imag[: hi - lo], out=block))
+    return codes, stack
+
+
+def sample_random_circuits(
+    n: int, layers: int, streams, exclude_identity: bool = True
+) -> CircuitBatch:
+    """Random circuits, one per stream, each identical to ``build_random_ansatz(n, layers, stream)``."""
+    codes, stack = _draw_random_layers(n, layers, streams, exclude_identity)
+    if not is_unitary(stack):
+        raise ValueError("fixed layer matrix is not unitary")
+    distinct, index = np.unique(codes, return_inverse=True)
+    letters = [code_letters(n, int(c)) for c in distinct]
+    perms, phases = _generator_tables(letters, index.reshape(codes.shape).T, 1 << n)
+    fixed = tuple(stack[:, layer] for layer in range(layers))
+    return CircuitBatch(n, len(streams), fixed, perms, phases)
+
+
 def build_random_ansatz(
     n: int, layers: int, rng: RngStream, exclude_identity: bool = True
 ) -> AnsatzSpec:
@@ -91,15 +233,9 @@ def build_random_ansatz(
     Sampled once and immutable afterwards; optimizing the angles never touches
     the W_l or the generators.
     """
-    if n < 1 or layers < 0:
-        raise ValueError("need n >= 1 and layers >= 0")
-    dim = 1 << n
-    gens = []
-    fixed = []
-    for _ in range(layers):
-        gens.append(sample_pauli(n, rng, exclude_identity=exclude_identity))
-        fixed.append(haar_unitary(dim, rng))
-    return AnsatzSpec(n, tuple(gens), tuple(fixed), family=FAMILY_RANDOM)
+    codes, stack = _draw_random_layers(n, layers, [rng], exclude_identity)
+    gens = tuple(PauliString(code_letters(n, int(c))) for c in codes[0])
+    return AnsatzSpec(n, gens, tuple(stack[0]), family=FAMILY_RANDOM)
 
 
 def _single_qubit_string(n: int, qubit: int, letter: str) -> PauliString:
@@ -234,17 +370,27 @@ def uniform_angles(layers: int, rng: RngStream) -> np.ndarray:
     return rng.generator.uniform(0.0, 2.0 * np.pi, size=layers)
 
 
+def ensemble_angles(layers: int, streams) -> np.ndarray:
+    """Angles (L, S) of an ensemble chunk: circuit s draws from ``streams[s].substream(0)``."""
+    return np.stack([uniform_angles(layers, s.substream(0)) for s in streams], axis=1)
+
+
 __all__ = [
     "AnsatzSpec",
+    "CircuitBatch",
     "FAMILY_CNOT",
     "FAMILY_CPHASE",
     "FAMILY_RANDOM",
     "build_hardware_efficient",
     "build_random_ansatz",
+    "chunk_grid",
     "circuit_unitary",
     "cnot_chain",
+    "ensemble_angles",
     "evolve_state",
     "prefix_suffix",
+    "sample_random_circuits",
+    "samples_per_chunk",
     "uniform_angles",
     "y_tilted_state",
     "zero_state",

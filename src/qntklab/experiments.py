@@ -2,8 +2,10 @@
 
 Every experiment is described by a JSON config with a mandatory master seed;
 all randomness is derived from (seed, trial index) streams, so outputs are
-byte-identical across runs and worker counts.  Workers receive contiguous
-index ranges and results are merged in index order before any reduction.
+byte-identical across runs and worker counts.  Ensembles are cut into chunks
+on a grid fixed by the problem size (``circuits.chunk_grid``), each chunk is
+computed by one batched engine call, workers receive contiguous runs of whole
+chunks, and results are merged in index order before any reduction.
 """
 
 from __future__ import annotations
@@ -16,13 +18,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .circuits import build_hardware_efficient, build_random_ansatz, uniform_angles
+from .circuits import (
+    CircuitBatch,
+    build_hardware_efficient,
+    build_random_ansatz,
+    chunk_grid,
+    ensemble_angles,
+    sample_random_circuits,
+    uniform_angles,
+)
 from .haar import mc_commutator_trace, mc_second_moment
 from .kernels import (
     Observable,
     SupervisedProblem,
-    gradient,
-    qntk,
+    ensemble_kernels,
     random_pauli_sum,
     supervised_kernel,
 )
@@ -32,7 +41,7 @@ from .training import (
     TrainingConfig,
     TrainingDivergenceError,
     fit_decay_rate,
-    gd_optimize,
+    gd_batch,
     gd_supervised,
 )
 
@@ -131,6 +140,24 @@ def _as_number(cfg: dict, key: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _validate_fit_keys(cfg: dict, out: dict):
+    """The decay-fit keys ``burn_in`` and ``floor``, with their defaults."""
+    out["burn_in"] = cfg.get("burn_in", _DEFAULTS["burn_in"])
+    out["floor"] = cfg.get("floor", _DEFAULTS["floor"])
+    if not isinstance(out["burn_in"], int) or out["burn_in"] < 0:
+        _fail("burn_in", "must be a non-negative integer")
+    if not isinstance(out["floor"], (int, float)) or out["floor"] < 0:
+        _fail("floor", "must be a non-negative number")
+
+
+def _check_observable_width(spec: dict, qubits: int):
+    """Pauli strings of a fixed observable must act on exactly ``qubits`` qubits."""
+    if spec["kind"] == "pauli-sum":
+        width = len(spec["terms"][0][1])
+        if width != qubits:
+            _fail("observable", f"Pauli strings act on {width} qubits, but the circuits have {qubits}")
+
+
 def _validate_observable(spec, key="observable") -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         _fail(key, "must be an object with a 'kind' field")
@@ -210,8 +237,7 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         if not isinstance(path, str):
             _fail("input", "must be a path string")
         out["input"] = path
-        out["burn_in"] = cfg.get("burn_in", _DEFAULTS["burn_in"])
-        out["floor"] = cfg.get("floor", _DEFAULTS["floor"])
+        _validate_fit_keys(cfg, out)
         return out
 
     out["qubits"] = _require(cfg, "qubits")
@@ -226,11 +252,15 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["observable"] = _validate_observable(
             cfg.get("observable", {"kind": "random-pauli-sum", "num_terms": 10})
         )
+        # one observable serves every qubit count: it is realized on the
+        # largest and truncated to its leading letters for the smaller ones
+        _check_observable_width(out["observable"], max(qubits))
         return out
 
     if not isinstance(out["qubits"], int) or out["qubits"] < 1:
         _fail("qubits", "must be a positive integer")
     out["observable"] = _validate_observable(_require(cfg, "observable"))
+    _check_observable_width(out["observable"], out["qubits"])
 
     if kind == "qntk-stats":
         layers = _require(cfg, "layers")
@@ -247,12 +277,7 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["eta"] = _as_number(cfg, "eta", positive=True)
         out["steps"] = _as_int(cfg, "steps", minimum=1)
         out["trials"] = _as_int(cfg, "trials", minimum=1)
-        out["burn_in"] = cfg.get("burn_in", _DEFAULTS["burn_in"])
-        out["floor"] = cfg.get("floor", _DEFAULTS["floor"])
-        if not isinstance(out["burn_in"], int) or out["burn_in"] < 0:
-            _fail("burn_in", "must be a non-negative integer")
-        if not isinstance(out["floor"], (int, float)) or out["floor"] < 0:
-            _fail("floor", "must be a non-negative number")
+        _validate_fit_keys(cfg, out)
     if kind == "train-supervised":
         out["train_size"] = _as_int(cfg, "train_size", minimum=1)
         if out["train_size"] > (1 << out["qubits"]):
@@ -386,48 +411,57 @@ def write_json(path: Path, obj):
     path.write_text(json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n")
 
 
-def _map_indexed(worker, payload: dict, count: int, threads: int):
-    """Evaluate worker(payload, index) for every index, in index order.
+def _map_chunks(worker, payload: dict, grid: list[tuple[int, int]], threads: int) -> list:
+    """Concatenate worker(payload, lo, hi) over the chunks of ``grid``, in index order.
 
-    With threads > 1 the index range is chunked across processes; results are
-    merged by index so the reduction order (and hence the output bytes) never
-    depends on the worker count.
+    The grid depends on the problem size only.  With threads > 1 each process
+    takes a contiguous run of whole chunks and receives the payload once, so
+    every chunk is computed with the same companions, and the output bytes do
+    not depend on the worker count.
     """
-    if threads <= 1 or count <= 1:
-        return [worker(payload, k) for k in range(count)]
-    chunk = (count + threads - 1) // threads
-    ranges = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-    results = [None] * count
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_run_range, worker, payload, lo, hi) for lo, hi in ranges]
-        for (lo, hi), fut in zip(ranges, futures):
-            for offset, value in enumerate(fut.result()):
-                results[lo + offset] = value
+    if threads <= 1 or len(grid) <= 1:
+        return _run_chunks(worker, payload, grid)
+    per = -(-len(grid) // threads)
+    runs = [grid[i : i + per] for i in range(0, len(grid), per)]
+    results = []
+    with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+        futures = [pool.submit(_run_chunks, worker, payload, run) for run in runs]
+        for fut in futures:
+            results.extend(fut.result())
     return results
 
 
-def _run_range(worker, payload, lo, hi):
-    return [worker(payload, k) for k in range(lo, hi)]
+def _run_chunks(worker, payload, grid):
+    return [value for lo, hi in grid for value in worker(payload, lo, hi)]
+
+
+def _unit_grid(count: int) -> list[tuple[int, int]]:
+    """One chunk per trial, for the kinds whose trials run one circuit at a time."""
+    return [(k, k + 1) for k in range(count)]
+
+
+def _circuit_batch(cfg: dict, layers: int, streams, shared: RngStream) -> CircuitBatch:
+    """The circuits of one ensemble chunk: one per stream, or the shared one in angle mode."""
+    n = cfg["qubits"]
+    if cfg["resample"] == "angle":
+        return _build_ansatz(cfg, n, layers, shared).batch(len(streams))
+    if cfg["ansatz"] == "random-haar":
+        return sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
+    return CircuitBatch.from_specs([_build_ansatz(cfg, n, layers, s) for s in streams])
 
 
 # ---------------------------------------------------------------------------
 # qntk-stats
 
 
-def _qntk_sample(payload: dict, index: int) -> float:
+def _qntk_chunk(payload: dict, lo: int, hi: int) -> list[float]:
     cfg = payload["cfg"]
-    n = cfg["qubits"]
-    layers = payload["layers"]
-    obs = Observable.from_dict(payload["observable"])
-    trial = RngStream(cfg["seed"], (_LANE_TRIALS, payload["layer_index"], index))
-    if cfg["resample"] == "instance":
-        ansatz = _build_ansatz(cfg, n, layers, trial)
-    else:
-        ansatz = _build_ansatz(
-            cfg, n, layers, RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ, payload["layer_index"]))
-        )
-    theta = uniform_angles(ansatz.num_layers, trial.substream(0))
-    return qntk(gradient(ansatz, theta, obs, zero_state(n)))
+    li = payload["layer_index"]
+    streams = [RngStream(cfg["seed"], (_LANE_TRIALS, li, k)) for k in range(lo, hi)]
+    shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ, li))
+    batch = _circuit_batch(cfg, payload["layers"], streams, shared)
+    obs = payload["observable"]
+    return list(ensemble_kernels(batch, streams, obs.matrix, zero_state(cfg["qubits"])))
 
 
 def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
@@ -440,13 +474,9 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
     tr_o4 = obs.trace_power(4)
     summary_rows = []
     for li, layers in enumerate(cfg["layers"]):
-        payload = {
-            "cfg": cfg,
-            "layers": layers,
-            "layer_index": li,
-            "observable": obs.as_dict(),
-        }
-        values = _map_indexed(_qntk_sample, payload, cfg["samples"], cfg["threads"])
+        payload = {"cfg": cfg, "layers": layers, "layer_index": li, "observable": obs}
+        grid = chunk_grid(cfg["samples"], dim, layers)
+        values = _map_chunks(_qntk_chunk, payload, grid, cfg["threads"])
         values = np.asarray(values)
         mean = kahan_sum(values) / len(values)
         std = float(np.sqrt(kahan_sum((values - mean) ** 2) / (len(values) - 1))) if len(values) > 1 else 0.0
@@ -504,42 +534,44 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
 # train
 
 
-def _train_trial(payload: dict, index: int) -> dict:
+def _train_chunk(payload: dict, lo: int, hi: int) -> list[dict]:
     cfg = payload["cfg"]
-    n = cfg["qubits"]
-    obs = Observable.from_dict(payload["observable"])
-    trial = RngStream(cfg["seed"], (_LANE_TRIALS, index))
-    if cfg["resample"] == "instance":
-        ansatz = _build_ansatz(cfg, n, cfg["layers"], trial)
-    else:
-        ansatz = _build_ansatz(cfg, n, cfg["layers"], RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,)))
-    theta0 = uniform_angles(ansatz.num_layers, trial.substream(0))
-    tcfg = TrainingConfig(
-        learning_rate=cfg["eta"], steps=cfg["steps"], seed=cfg["seed"], init_angles=theta0
+    obs = payload["observable"]
+    streams = [RngStream(cfg["seed"], (_LANE_TRIALS, k)) for k in range(lo, hi)]
+    shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,))
+    batch = _circuit_batch(cfg, cfg["layers"], streams, shared)
+    theta0 = ensemble_angles(batch.num_layers, streams).T
+    errors, kernels, _, diverged = gd_batch(
+        batch, obs.matrix, obs.target, zero_state(cfg["qubits"]), theta0, cfg["eta"], cfg["steps"]
     )
-    try:
-        traj = gd_optimize(ansatz, obs, zero_state(n), tcfg)
-    except TrainingDivergenceError as exc:
-        return {"diverged": True, "message": str(exc)}
-    try:
-        rate, r2 = fit_decay_rate(traj, burn_in=cfg["burn_in"], floor=cfg["floor"])
-    except ValueError:
-        rate, r2 = float("nan"), float("nan")
-    return {
-        "diverged": False,
-        "errors": traj.errors,
-        "kernels": traj.kernels,
-        "gamma": rate,
-        "r_squared": r2,
-    }
+    results = []
+    for s in range(len(streams)):
+        if s in diverged:
+            results.append({"diverged": True, "message": diverged[s]})
+            continue
+        try:
+            rate, r2 = fit_decay_rate(errors[s], burn_in=cfg["burn_in"], floor=cfg["floor"])
+        except ValueError:
+            rate, r2 = float("nan"), float("nan")
+        results.append(
+            {
+                "diverged": False,
+                "errors": errors[s],
+                "kernels": kernels[s],
+                "gamma": rate,
+                "r_squared": r2,
+            }
+        )
+    return results
 
 
 def run_train(cfg: dict, out_dir: Path) -> int:
     digest = config_hash(cfg)
     obs = realize_observable(cfg)
     dim = 1 << cfg["qubits"]
-    payload = {"cfg": cfg, "observable": obs.as_dict()}
-    results = _map_indexed(_train_trial, payload, cfg["trials"], cfg["threads"])
+    payload = {"cfg": cfg, "observable": obs}
+    grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
+    results = _map_chunks(_train_chunk, payload, grid, cfg["threads"])
     diverged = [k for k, r in enumerate(results) if r["diverged"]]
     live = [r for r in results if not r["diverged"]]
     for k, res in enumerate(results):
@@ -588,26 +620,29 @@ def run_train(cfg: dict, out_dir: Path) -> int:
 # train-supervised
 
 
-def _train_supervised_trial(payload: dict, index: int) -> dict:
+def _train_supervised_trials(payload: dict, lo: int, hi: int) -> list[dict]:
     cfg = payload["cfg"]
     n = cfg["qubits"]
-    obs = Observable.from_dict(payload["observable"])
     labels = np.asarray(payload["labels"], dtype=float)
-    prob = SupervisedProblem.with_basis_features(n, labels, (obs,))
-    trial = RngStream(cfg["seed"], (_LANE_TRIALS, index))
-    if cfg["resample"] == "instance":
-        ansatz = _build_ansatz(cfg, n, cfg["layers"], trial)
-    else:
-        ansatz = _build_ansatz(cfg, n, cfg["layers"], RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,)))
-    theta0 = uniform_angles(ansatz.num_layers, trial.substream(0))
-    tcfg = TrainingConfig(
-        learning_rate=cfg["eta"], steps=cfg["steps"], seed=cfg["seed"], init_angles=theta0
-    )
-    try:
-        traj = gd_supervised(ansatz, prob, tcfg)
-    except TrainingDivergenceError as exc:
-        return {"diverged": True, "message": str(exc)}
-    return {"diverged": False, "losses": traj.errors, "kernels": traj.kernels}
+    prob = SupervisedProblem.with_basis_features(n, labels, (payload["observable"],))
+    results = []
+    for index in range(lo, hi):
+        trial = RngStream(cfg["seed"], (_LANE_TRIALS, index))
+        if cfg["resample"] == "instance":
+            ansatz = _build_ansatz(cfg, n, cfg["layers"], trial)
+        else:
+            ansatz = _build_ansatz(cfg, n, cfg["layers"], RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,)))
+        theta0 = uniform_angles(ansatz.num_layers, trial.substream(0))
+        tcfg = TrainingConfig(
+            learning_rate=cfg["eta"], steps=cfg["steps"], seed=cfg["seed"], init_angles=theta0
+        )
+        try:
+            traj = gd_supervised(ansatz, prob, tcfg)
+        except TrainingDivergenceError as exc:
+            results.append({"diverged": True, "message": str(exc)})
+            continue
+        results.append({"diverged": False, "losses": traj.errors, "kernels": traj.kernels})
+    return results
 
 
 def run_train_supervised(cfg: dict, out_dir: Path) -> int:
@@ -615,8 +650,8 @@ def run_train_supervised(cfg: dict, out_dir: Path) -> int:
     obs = realize_observable(cfg)
     label_rng = RngStream(cfg["seed"], (_LANE_LABELS,))
     labels = 2.0 * label_rng.generator.integers(0, 2, size=cfg["train_size"]) - 1.0
-    payload = {"cfg": cfg, "observable": obs.as_dict(), "labels": labels.tolist()}
-    results = _map_indexed(_train_supervised_trial, payload, cfg["trials"], cfg["threads"])
+    payload = {"cfg": cfg, "observable": obs, "labels": labels.tolist()}
+    results = _map_chunks(_train_supervised_trials, payload, _unit_grid(cfg["trials"]), cfg["threads"])
     diverged = [k for k, r in enumerate(results) if r["diverged"]]
     live = [r for r in results if not r["diverged"]]
     for k, res in enumerate(results):
@@ -655,18 +690,20 @@ def run_train_supervised(cfg: dict, out_dir: Path) -> int:
 # eigen-scan
 
 
-def _eigen_trial(payload: dict, index: int) -> tuple[float, list[list[float]]]:
+def _eigen_trials(payload: dict, lo: int, hi: int) -> list[tuple[float, list[list[float]]]]:
     cfg = payload["cfg"]
     n = cfg["qubits"]
-    obs = Observable.from_dict(payload["observable"])
-    size = payload["train_size"]
-    trial = RngStream(cfg["seed"], (_LANE_TRIALS, payload["size_index"], index))
-    ansatz = build_random_ansatz(n, cfg["layers"], trial, exclude_identity=cfg["exclude_identity"])
-    theta = uniform_angles(cfg["layers"], trial.substream(0))
-    prob = SupervisedProblem.with_basis_features(n, np.zeros(size), (obs,))
-    kernel = supervised_kernel(ansatz, theta, prob)
-    lowest = float(np.linalg.eigvalsh(kernel)[0])
-    return lowest, kernel.tolist()
+    prob = SupervisedProblem.with_basis_features(
+        n, np.zeros(payload["train_size"]), (payload["observable"],)
+    )
+    results = []
+    for index in range(lo, hi):
+        trial = RngStream(cfg["seed"], (_LANE_TRIALS, payload["size_index"], index))
+        ansatz = build_random_ansatz(n, cfg["layers"], trial, exclude_identity=cfg["exclude_identity"])
+        theta = uniform_angles(cfg["layers"], trial.substream(0))
+        kernel = supervised_kernel(ansatz, theta, prob)
+        results.append((float(np.linalg.eigvalsh(kernel)[0]), kernel.tolist()))
+    return results
 
 
 def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
@@ -677,13 +714,8 @@ def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
     tr_o2 = obs.trace_power(2)
     summary_rows = []
     for si, size in enumerate(cfg["train_sizes"]):
-        payload = {
-            "cfg": cfg,
-            "observable": obs.as_dict(),
-            "train_size": size,
-            "size_index": si,
-        }
-        results = _map_indexed(_eigen_trial, payload, cfg["trials"], cfg["threads"])
+        payload = {"cfg": cfg, "observable": obs, "train_size": size, "size_index": si}
+        results = _map_chunks(_eigen_trials, payload, _unit_grid(cfg["trials"]), cfg["threads"])
         lowest_each = np.array([r[0] for r in results])
         mean_kernel = np.mean([np.asarray(r[1]) for r in results], axis=0)
         spectrum = kernel_eigenvalues(dim, cfg["layers"], size, tr_o2, tr_o)
@@ -769,12 +801,9 @@ def _first_nonidentity_pauli(n: int) -> PauliString:
 
 
 def _restrict_observable(obs: Observable, n: int) -> Observable:
-    """Truncate or pad observable terms to n qubits (haar-check across dims)."""
-    terms = []
-    for coef, pauli in obs.terms:
-        letters = pauli.letters[:n].ljust(n, "I")
-        terms.append((coef, PauliString(letters)))
-    return Observable(tuple(terms), target=obs.target)
+    """Observable on the first n of its qubits (haar-check across dims)."""
+    terms = tuple((coef, PauliString(pauli.letters[:n])) for coef, pauli in obs.terms)
+    return Observable(terms, target=obs.target)
 
 
 # ---------------------------------------------------------------------------

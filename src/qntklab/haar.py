@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzSpec, build_random_ansatz, uniform_angles
-from .kernels import Observable, gradient, qntk
+from .circuits import AnsatzSpec, build_random_ansatz, chunk_grid, sample_random_circuits
+from .kernels import Observable, ensemble_kernels
 from .linalg import RngStream, haar_unitary, kahan_sum
 from .theory import kbar_exact
 
@@ -138,15 +138,16 @@ def mc_kbar(
         return (est, values) if return_samples else est
     if mode == "angle" and ansatz is None:
         ansatz = build_random_ansatz(n, layers, rng.substream(0))
+    if mode == "angle" and ansatz.num_layers != layers:
+        raise ValueError(f"expected a {layers}-layer ansatz, got {ansatz.num_layers} layers")
     values = np.empty(samples)
-    for s in range(samples):
-        sub = rng.substream(s + 1)
+    for lo, hi in chunk_grid(samples, dim, layers):
+        streams = [rng.substream(s + 1) for s in range(lo, hi)]
         if mode == "instance":
-            circuit = build_random_ansatz(n, layers, sub)
+            batch = sample_random_circuits(n, layers, streams)
         else:
-            circuit = ansatz
-        theta = uniform_angles(layers, sub.substream(0))
-        values[s] = qntk(gradient(circuit, theta, obs, psi0))
+            batch = ansatz.batch(hi - lo)
+        values[lo:hi] = ensemble_kernels(batch, streams, obs.matrix, psi0)
     est = MomentEstimate.from_samples(values, target)
     return (est, values) if return_samples else est
 

@@ -9,7 +9,10 @@ where ``psi_ell`` is the state propagated through layers 1..ell, ``Xhat_ell``
 is the generator conjugated by its own fixed unitary, and ``Otilde_ell`` is
 the observable pulled back through the remaining layers.  One forward pass and
 one backward pass give all L components exactly; no parameter-shift evaluations
-or finite differences are involved (those exist only as test oracles).
+or finite differences are involved (those exist only as test oracles).  The
+passes run over a leading sample axis (:func:`forward_adjoint`), so a chunk of
+S circuits costs one pass of S-row array operations per layer; a single
+circuit is the chunk S=1.
 
 The second derivative is the nested commutator
 
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import AnsatzSpec
-from .linalg import PauliString, RngStream, basis_state, pauli_matrix, sample_pauli
+from .circuits import AnsatzSpec, CircuitBatch, ensemble_angles
+from .linalg import STACK_BYTES, PauliString, RngStream, basis_state, pauli_matrix, sample_pauli
 
 IMAG_TOL = 1e-10
 
@@ -38,20 +41,25 @@ class NonRealExpectationError(ValueError):
     """
 
 
-def real_expectation(matrix: np.ndarray, psi: np.ndarray, tol: float = IMAG_TOL) -> float:
-    """<psi|M|psi> with a guard on the imaginary residue.
+def _real_rows(values: np.ndarray, tol: float = IMAG_TOL) -> np.ndarray:
+    """Real parts of expectation values, with a guard on every imaginary residue.
 
     The tolerance is absolute for order-one expectations and relative above
     that, so rescaling the observable cannot turn floating-point noise into a
     false alarm.  Non-finite values pass through for the training layer to
     report as divergence.
     """
-    value = complex(np.vdot(psi, matrix @ psi))
-    if abs(value.imag) > tol * max(1.0, abs(value)):
+    bad = np.abs(values.imag) > tol * np.maximum(1.0, np.abs(values))
+    if np.any(bad):
         raise NonRealExpectationError(
-            f"expectation has imaginary part {value.imag:.3e} (tol {tol:.0e})"
+            f"expectation has imaginary part {values[bad][0].imag:.3e} (tol {tol:.0e})"
         )
-    return value.real
+    return values.real
+
+
+def real_expectation(matrix: np.ndarray, psi: np.ndarray, tol: float = IMAG_TOL) -> float:
+    """<psi|M|psi> with a guard on the imaginary residue (see :func:`_real_rows`)."""
+    return float(_real_rows(np.array([np.vdot(psi, matrix @ psi)]), tol)[0])
 
 
 @dataclass
@@ -135,47 +143,82 @@ def random_pauli_sum(
     return Observable(tuple(terms), target=target)
 
 
-def _check_dims(ansatz: AnsatzSpec, obs: Observable, psi: np.ndarray):
-    if obs.num_qubits != ansatz.num_qubits:
+def _check_inputs(dim: int, size: int, psi0, obs_matrix: np.ndarray) -> np.ndarray:
+    """Observable and input states (one (D,) or one per circuit (S, D), normalized) fit D."""
+    if obs_matrix.shape != (dim, dim):
         raise ValueError("observable and ansatz qubit counts differ")
-    if psi.shape != (ansatz.dim,):
+    psi0 = np.asarray(psi0)
+    if psi0.shape not in ((dim,), (size, dim)):
         raise ValueError("state dimension does not match ansatz")
-    norm = np.linalg.norm(psi)
-    if np.isfinite(norm) and abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state is not normalized (norm {norm:.6g})")
+    norms = np.atleast_1d(np.linalg.norm(psi0, axis=-1))
+    off = np.isfinite(norms) & (np.abs(norms - 1.0) > 1e-10)
+    if np.any(off):
+        raise ValueError(f"state is not normalized (norm {norms[off][0]:.6g})")
+    return psi0
 
 
-def _forward_states(ansatz: AnsatzSpec, theta: np.ndarray, psi0: np.ndarray):
-    """States after each layer plus the pre-fixed-unitary intermediates."""
-    after = [psi0]
-    pre_w = []
-    psi = psi0
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        tilted = np.cos(t) * psi + 1j * np.sin(t) * gen.apply(psi)
-        pre_w.append(tilted)
-        psi = w @ tilted
-        after.append(psi)
-    return after, pre_w
+def _apply(w: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """W @ psi for every row of ``states``; W shared (D, D) or one per row (S, D, D)."""
+    if w.ndim == 2:
+        return np.dot(states, w.T)
+    return np.matmul(w, states[:, :, None])[:, :, 0]
 
 
-def _gradient_from_forward(
-    ansatz: AnsatzSpec,
-    theta: np.ndarray,
-    pre_w: list[np.ndarray],
-    final_state: np.ndarray,
-    obs_matrix: np.ndarray,
-) -> np.ndarray:
-    """Backward pass: all L derivative components from one observable apply."""
-    layers = ansatz.num_layers
-    grad = np.empty(layers)
-    lam = obs_matrix @ final_state
+def _apply_transpose(w: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """W^T @ psi for every row of ``states`` (the backward pass runs on conjugates)."""
+    if w.ndim == 2:
+        return np.dot(states, w)
+    return np.matmul(states[:, None, :], w)[:, 0, :]
+
+
+def forward_adjoint(
+    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs and exact angle derivatives of S circuits in one forward and one backward pass.
+
+    ``theta`` has shape (L, S); ``psi0`` is one input state (D,) for all
+    circuits or one per circuit (S, D).  Returns the real expectations
+    <psi0_s|U_s' O U_s|psi0_s>, shape (S,), and their derivatives, shape
+    (S, L).  This is the adjoint method vectorized over the sample axis: the
+    forward pass keeps each layer's state before its fixed unitary, the
+    backward pass pulls O U|psi0> back through the layers.
+    """
+    layers, size, dim = batch.num_layers, batch.size, batch.dim
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (layers, size):
+        raise ValueError(f"expected angles of shape {(layers, size)}, got {theta.shape}")
+    psi0 = _check_inputs(dim, size, psi0, obs_matrix)
+
+    # full (L, S, D) factors: per-layer products then need no broadcasting
+    cos = np.repeat(np.cos(theta)[:, :, None], dim, axis=2)
+    isin = 1j * np.sin(theta)[:, :, None]
+    # generator gathers on the flattened (S, D) state array
+    gather = batch.perms + (np.arange(size) * dim)[:, None]
+    # Forward: psi <- W (cos psi + i sin X psi), keeping the state before each
+    # W.  Backward: lam = O U|psi0> pulled back layer by layer; as a row
+    # vector its conjugate mu obeys mu <- cos (mu W) + i sin conj(X)(mu W),
+    # which needs neither W^dagger nor a conjugation per layer.  The gathered
+    # mu of every layer is kept for one vectorized gradient product at the end.
+    tilted = np.empty((layers, size, dim), dtype=complex)
+    gathered = np.empty((layers, size, dim), dtype=complex)
+    psi = np.array(np.broadcast_to(psi0, (size, dim)), dtype=complex)
+    for w, c, turn, index, out in zip(batch.fixed, cos, isin * batch.phases, gather, tilted):
+        np.multiply(c, psi, out=out)
+        out += turn * psi.take(index)
+        psi = _apply(w, out)
+    lam = psi @ obs_matrix.T
+    outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
+    mu = lam.conj()
+    conj_phases = batch.phases.conj()
+    turns = isin * conj_phases
     for k in range(layers - 1, -1, -1):
-        lam_tilde = ansatz.fixed_unitaries[k].conj().T @ lam
-        x_lam = ansatz.generators[k].apply(lam_tilde)
-        grad[k] = 2.0 * np.vdot(pre_w[k], x_lam).imag
-        t = theta[k]
-        lam = np.cos(t) * lam_tilde - 1j * np.sin(t) * x_lam
-    return grad
+        mu = _apply_transpose(batch.fixed[k], mu)
+        mu.take(gather[k], out=gathered[k])
+        mu = cos[k] * mu + turns[k] * gathered[k]
+    # d eps / d theta_k = 2 Im <tilted_k| X lam_k> = -2 Im sum(tilted_k * conj(X lam_k))
+    grads = -2.0 * np.sum(tilted * conj_phases * gathered, axis=2).imag
+    grads = np.ascontiguousarray(grads.T)
+    return outputs, grads
 
 
 def model_output(
@@ -183,11 +226,8 @@ def model_output(
 ) -> float:
     """Expectation of the observable in the circuit-evolved feature state."""
     theta = ansatz.check_parameters(theta)
-    _check_dims(ansatz, obs, phi)
-    psi = phi
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        psi = w @ (np.cos(t) * psi + 1j * np.sin(t) * gen.apply(psi))
-    return real_expectation(obs.matrix, psi)
+    outputs, _ = forward_adjoint(ansatz.batch(), theta[:, None], phi, obs.matrix)
+    return float(outputs[0])
 
 
 def residual_error(
@@ -206,17 +246,23 @@ def gradient(
     model output.
     """
     theta = ansatz.check_parameters(theta)
-    _check_dims(ansatz, obs, psi0)
-    if ansatz.num_layers == 0:
-        return np.empty(0)
-    after, pre_w = _forward_states(ansatz, theta, psi0)
-    return _gradient_from_forward(ansatz, theta, pre_w, after[-1], obs.matrix)
+    _, grads = forward_adjoint(ansatz.batch(), theta[:, None], psi0, obs.matrix)
+    return grads[0]
 
 
 def qntk(grad: np.ndarray) -> float:
     """Sum of squared derivative components; non-negative by construction."""
     grad = np.asarray(grad, dtype=float)
     return float(grad @ grad)
+
+
+def ensemble_kernels(
+    batch: CircuitBatch, streams, obs_matrix: np.ndarray, psi0: np.ndarray
+) -> np.ndarray:
+    """QNTK of each circuit of an ensemble chunk, circuit s at angles drawn from ``streams[s]``."""
+    theta = ensemble_angles(batch.num_layers, streams)
+    _, grads = forward_adjoint(batch, theta, psi0, obs_matrix)
+    return np.array([qntk(g) for g in grads])
 
 
 def _backpropagated_generators(ansatz: AnsatzSpec, theta: np.ndarray):
@@ -236,7 +282,7 @@ def hessian_residual(
 ) -> np.ndarray:
     """Exact symmetric L x L second-derivative matrix of the residual error."""
     theta = ansatz.check_parameters(theta)
-    _check_dims(ansatz, obs, psi0)
+    psi0 = _check_inputs(ansatz.dim, 1, psi0, obs.matrix).reshape(-1)
     layers = ansatz.num_layers
     if layers == 0:
         return np.empty((0, 0))
@@ -320,33 +366,32 @@ class SupervisedProblem:
         return cls(feats, labels, tuple(observables), tuple(range(size)))
 
 
-def _train_rows(prob: SupervisedProblem):
-    """Joint (data, output) row index, data-major."""
-    return [(d, i) for d in prob.train_indices for i in range(prob.num_outputs)]
-
-
 def outputs_and_gradients(
     ansatz: AnsatzSpec, theta: np.ndarray, prob: SupervisedProblem
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model outputs z and the (rows x L) matrix of their exact derivatives.
 
-    Shares one forward pass per data point across all observables.
+    One engine call per observable covers a block of training points.  The
+    engine keeps (L, points, D) state arrays, so a block holds as many points
+    as fit those in STACK_BYTES: all of them for small circuits, one at a
+    time for wide and deep ones.
     """
     theta = ansatz.check_parameters(theta)
-    rows = _train_rows(prob)
-    z = np.empty(len(rows))
-    grads = np.empty((len(rows), ansatz.num_layers))
-    row = 0
-    for d in prob.train_indices:
-        phi = prob.features[d]
-        _check_dims(ansatz, prob.observables[0], phi)
-        after, pre_w = _forward_states(ansatz, theta, phi)
-        final = after[-1]
-        for obs in prob.observables:
-            z[row] = real_expectation(obs.matrix, final)
-            grads[row] = _gradient_from_forward(ansatz, theta, pre_w, final, obs.matrix)
-            row += 1
-    return z, grads
+    feats = prob.features[list(prob.train_indices)]
+    points = len(feats)
+    step = max(1, STACK_BYTES // (max(ansatz.num_layers, 1) * ansatz.dim * 16))
+    z = np.empty((points, prob.num_outputs))
+    grads = np.empty((points, prob.num_outputs, ansatz.num_layers))
+    for lo in range(0, points, step):
+        block = feats[lo : lo + step]
+        batch = ansatz.batch(len(block))
+        angles = np.repeat(theta[:, None], len(block), axis=1)
+        for i, obs in enumerate(prob.observables):
+            z[lo : lo + step, i], grads[lo : lo + step, i] = forward_adjoint(
+                batch, angles, block, obs.matrix
+            )
+    # data-major rows: (d_1, i_1), (d_1, i_2), ..., (d_2, i_1), ...
+    return z.reshape(-1), grads.reshape(-1, ansatz.num_layers)
 
 
 def supervised_kernel(
@@ -366,6 +411,8 @@ __all__ = [
     "NonRealExpectationError",
     "Observable",
     "SupervisedProblem",
+    "ensemble_kernels",
+    "forward_adjoint",
     "gradient",
     "hessian_residual",
     "meta_kernel",

@@ -25,6 +25,12 @@ PAULI_1Q = {
 UNITARY_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-12
 
+# Byte budget of one stack of dense matrices: Haar draws are QR'd and checked
+# in blocks of at most this size, and ensembles are cut into chunks whose
+# fixed-layer stacks fit in it.  A single matrix larger than the budget is
+# handled on its own, as a stack of one.
+STACK_BYTES = 1 << 18
+
 
 class RngStream:
     """Deterministic random stream addressed by (master seed, stream index).
@@ -148,20 +154,61 @@ def rotate_state(p: PauliString, theta: float, psi: np.ndarray) -> np.ndarray:
     return np.cos(theta) * psi + 1j * np.sin(theta) * p.apply(psi)
 
 
-def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def matrices_per_block(dim: int) -> int:
+    """How many dim x dim complex matrices fit in :data:`STACK_BYTES` (at least one)."""
+    return max(1, STACK_BYTES // (dim * dim * 16))
 
-    The Q factor is phase-fixed by scaling column k with R_kk/|R_kk|, which
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack (..., D, D) of complex Ginibre matrices.
+
+    Each Q factor is phase-fixed by scaling column k with R_kk/|R_kk|, which
     selects the unique QR factorization with positive-diagonal R; that factor
-    is exactly Haar regardless of the LAPACK phase convention.
+    is exactly Haar regardless of the LAPACK phase convention.  A stacked QR
+    gives the same bits per matrix as one QR per matrix.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (d / np.abs(d))[..., None, :]
+    return q
+
+
+def ginibre(real: np.ndarray, imag: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex Ginibre matrices (real + i imag) / sqrt(2) from standard normal parts.
+
+    With ``out`` the result is formed in place, bit for bit as without it.
+    """
+    out = np.multiply(imag, 1j, out=out)
+    out += real
+    out /= np.sqrt(2.0)
+    return out
+
+
+def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
+    """Haar-distributed unitary via the phase-fixed QR of a complex Ginibre matrix.
+
+    The real part is drawn before the imaginary part.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     gen = rng.generator
-    z = (gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))[None, :]
+    return haar_from_ginibre(ginibre(gen.standard_normal((dim, dim)), gen.standard_normal((dim, dim))))
+
+
+def pauli_code(n: int, rng: RngStream, exclude_identity: bool = True) -> int:
+    """Base-4 code of a uniform Pauli string; the last letter is the lowest digit."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return int(rng.generator.integers(1 if exclude_identity else 0, 4**n))
+
+
+def code_letters(n: int, code: int) -> str:
+    """Letters of the Pauli string with base-4 code ``code`` (I=0, X=1, Y=2, Z=3)."""
+    letters = []
+    for _ in range(n):
+        letters.append(PAULI_LETTERS[code % 4])
+        code //= 4
+    return "".join(reversed(letters))
 
 
 def sample_pauli(n: int, rng: RngStream, exclude_identity: bool = True) -> PauliString:
@@ -171,18 +218,7 @@ def sample_pauli(n: int, rng: RngStream, exclude_identity: bool = True) -> Pauli
     uniform over the 4^n - 1 nontrivial strings; the all-identity string would
     be a dead parameter since it commutes with every observable.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    total = 4**n
-    if exclude_identity:
-        code = int(rng.generator.integers(1, total))
-    else:
-        code = int(rng.generator.integers(0, total))
-    letters = []
-    for _ in range(n):
-        letters.append(PAULI_LETTERS[code % 4])
-        code //= 4
-    return PauliString("".join(reversed(letters)))
+    return PauliString(code_letters(n, pauli_code(n, rng, exclude_identity)))
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -203,8 +239,20 @@ def basis_state(n: int, index: int) -> np.ndarray:
 
 
 def is_unitary(mat: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    dim = mat.shape[0]
-    return bool(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= atol)
+    """Whether every matrix of a stack (..., D, D) is unitary to ``atol``.
+
+    The stack is checked in blocks of :func:`matrices_per_block`, so the check
+    never holds more than :data:`STACK_BYTES` of products at once.
+    """
+    dim = mat.shape[-1]
+    flat = mat.reshape(-1, dim, dim)
+    eye = np.eye(dim)
+    step = matrices_per_block(dim)
+    for lo in range(0, len(flat), step):
+        block = flat[lo : lo + step]
+        if not np.max(np.abs(block.conj().swapaxes(-1, -2) @ block - eye)) <= atol:
+            return False
+    return True
 
 
 def is_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import AnsatzSpec, uniform_angles
+from .circuits import AnsatzSpec, CircuitBatch, uniform_angles
 from .kernels import (
     Observable,
     SupervisedProblem,
-    gradient,
+    forward_adjoint,
     outputs_and_gradients,
     qntk,
-    residual_error,
 )
 from .linalg import RngStream
 
@@ -98,11 +97,57 @@ def _initial_angles(layers: int, cfg: TrainingConfig) -> np.ndarray:
     return uniform_angles(layers, RngStream(cfg.seed, (0,)))
 
 
+def _divergence_message(step: int) -> str:
+    return f"non-finite residual or parameters at step {step}; reduce the learning rate"
+
+
 def _guard_finite(step: int, eps: float, theta: np.ndarray):
     if not np.isfinite(eps) or not np.all(np.isfinite(theta)):
-        raise TrainingDivergenceError(
-            f"non-finite residual or parameters at step {step}; reduce the learning rate"
-        )
+        raise TrainingDivergenceError(_divergence_message(step))
+
+
+def gd_batch(
+    batch: CircuitBatch,
+    obs_matrix: np.ndarray,
+    target: float,
+    psi0: np.ndarray,
+    theta0: np.ndarray,
+    learning_rate: float,
+    steps: int,
+    record_parameters: bool = False,
+):
+    """Gradient descent on the squared residual of S circuits at once.
+
+    ``theta0`` has shape (S, L).  Every step is one engine call for all S
+    circuits.  Returns ``(errors, kernels, parameters, diverged)``: residuals
+    and kernels of shape (S, T+1), parameters (S, T+1, L) or None, and a dict
+    from the index of each circuit whose residual or parameters turned
+    non-finite to the message :func:`gd_optimize` raises for it alone.  A
+    diverged circuit keeps its row; rows never mix, so it cannot disturb the
+    others.
+    """
+    theta = np.array(theta0, dtype=float)
+    size = batch.size
+    errors = np.empty((size, steps + 1))
+    kernels = np.empty((size, steps + 1))
+    params = np.empty((size, steps + 1, batch.num_layers)) if record_parameters else None
+    diverged: dict[int, str] = {}
+    # overflow is detected explicitly and reported as divergence, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps + 1):
+            outputs, grads = forward_adjoint(batch, theta.T, psi0, obs_matrix)
+            eps = outputs - target
+            finite = np.isfinite(eps) & np.all(np.isfinite(theta), axis=1)
+            for s in np.flatnonzero(~finite):
+                diverged.setdefault(int(s), _divergence_message(t))
+            if len(diverged) == size:
+                break
+            errors[:, t] = eps
+            kernels[:, t] = [qntk(g) for g in grads]
+            if params is not None:
+                params[:, t] = theta
+            theta = theta - learning_rate * (eps[:, None] * grads)
+    return errors, kernels, params, diverged
 
 
 def gd_optimize(
@@ -114,33 +159,23 @@ def gd_optimize(
     for T update steps).  A start at exactly zero residual is a valid fixed
     point and yields a flat trajectory.
     """
-    theta = _initial_angles(ansatz.num_layers, cfg)
-    steps = cfg.steps
-    errors = np.empty(steps + 1)
-    kernels = np.empty(steps + 1)
-    params = np.empty((steps + 1, ansatz.num_layers)) if cfg.record_parameters else None
-    # overflow is detected explicitly and raised as divergence, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            eps = residual_error(ansatz, theta, obs, psi0)
-            grad = gradient(ansatz, theta, obs, psi0)
-            _guard_finite(t, eps, theta)
-            errors[t] = eps
-            kernels[t] = qntk(grad)
-            if params is not None:
-                params[t] = theta
-            theta = theta - cfg.learning_rate * (eps * grad)
-        eps = residual_error(ansatz, theta, obs, psi0)
-        grad = gradient(ansatz, theta, obs, psi0)
-        _guard_finite(steps, eps, theta)
-        errors[steps] = eps
-        kernels[steps] = qntk(grad)
-        if params is not None:
-            params[steps] = theta
+    theta0 = _initial_angles(ansatz.num_layers, cfg)
+    errors, kernels, params, diverged = gd_batch(
+        ansatz.batch(),
+        obs.matrix,
+        obs.target,
+        psi0,
+        theta0[None, :],
+        cfg.learning_rate,
+        cfg.steps,
+        cfg.record_parameters,
+    )
+    if diverged:
+        raise TrainingDivergenceError(diverged[0])
     return Trajectory(
-        errors,
-        kernels,
-        parameters=params,
+        errors[0],
+        kernels[0],
+        parameters=None if params is None else params[0],
         meta={
             "mode": "single-target",
             "config": cfg.fingerprint(),
@@ -238,6 +273,7 @@ __all__ = [
     "TrainingConfig",
     "TrainingDivergenceError",
     "fit_decay_rate",
+    "gd_batch",
     "gd_optimize",
     "gd_supervised",
 ]

@@ -78,6 +78,30 @@ def parameter_shift_gradient(ansatz, theta, obs, psi):
     return grad
 
 
+def dense_output(letters, fixed, theta, psi, obs_matrix):
+    """<psi|U' O U|psi> for one circuit, from explicit eigendecomposition exponentials."""
+    u = np.eye(len(psi), dtype=complex)
+    for gen, w, t in zip(letters, fixed, theta):
+        u = w @ expm_pauli(gen, t) @ u
+    phi = u @ psi
+    return np.vdot(phi, obs_matrix @ phi).real
+
+
+def dense_output_and_gradient(letters, fixed, theta, psi, obs_matrix):
+    """Single-circuit oracle: dense output and its shift-rule gradient (exact for Paulis)."""
+    theta = np.asarray(theta, dtype=float)
+    grad = np.empty(len(theta))
+    for k in range(len(theta)):
+        up = theta.copy()
+        up[k] += np.pi / 4
+        dn = theta.copy()
+        dn[k] -= np.pi / 4
+        grad[k] = dense_output(letters, fixed, up, psi, obs_matrix) - dense_output(
+            letters, fixed, dn, psi, obs_matrix
+        )
+    return dense_output(letters, fixed, theta, psi, obs_matrix), grad
+
+
 def gradient_close(analytic, reference, rel=1e-6, abs_floor=1e-9, small=1e-6):
     """Componentwise comparison: relative where the reference is resolvable."""
     analytic = np.asarray(analytic)

@@ -2,18 +2,29 @@ import numpy as np
 import pytest
 
 from qntklab import Observable, residual_error
+import qntklab.circuits as circuits
 from qntklab.circuits import (
     AnsatzSpec,
+    CircuitBatch,
     build_hardware_efficient,
     build_random_ansatz,
+    chunk_grid,
     circuit_unitary,
     cnot_chain,
     evolve_state,
     prefix_suffix,
+    sample_random_circuits,
     uniform_angles,
     y_tilted_state,
 )
-from qntklab.linalg import PauliString, RngStream, zero_state
+from qntklab.linalg import (
+    PauliString,
+    RngStream,
+    _pauli_action,
+    haar_unitary,
+    sample_pauli,
+    zero_state,
+)
 
 from helpers import expm_pauli
 
@@ -202,3 +213,48 @@ def test_mismatched_layer_lists_rejected():
 def test_non_unitary_fixed_layer_rejected():
     with pytest.raises(ValueError):
         AnsatzSpec(1, (PauliString("Z"),), (2.0 * np.eye(2, dtype=complex),))
+
+
+@pytest.mark.parametrize("n,layers", [(2, 6), (3, 0), (7, 3)])
+def test_batched_sampler_matches_circuits_built_alone(n, layers):
+    # at n=7 one matrix fills a QR block, at n=2 many circuits share one
+    streams = [RngStream(20, (k,)) for k in range(3)]
+    batch = sample_random_circuits(n, layers, streams)
+    assert batch.size == 3 and batch.num_layers == layers
+    for s in range(3):
+        alone = build_random_ansatz(n, layers, RngStream(20, (s,)))
+        # one draw after the other from the circuit's own stream, as drawn alone
+        rng = RngStream(20, (s,))
+        for k in range(layers):
+            gen = sample_pauli(n, rng)
+            w = haar_unitary(1 << n, rng)
+            assert gen == alone.generators[k]
+            assert np.array_equal(alone.fixed_unitaries[k], w)
+            assert np.array_equal(batch.fixed[k][s], w)
+            perm, phase = _pauli_action(gen.letters)
+            assert np.array_equal(batch.perms[k, s], perm)
+            assert np.array_equal(batch.phases[k, s], phase)
+
+
+def test_batch_shares_equal_layers_without_copies():
+    specs = [build_hardware_efficient(3, 2, "cphase-ladder", RngStream(21, (k,))) for k in range(3)]
+    batch = CircuitBatch.from_specs(specs)
+    assert all(w.shape == (8, 8) for w in batch.fixed)
+    assert batch.fixed[0] is specs[0].fixed_unitaries[0]
+    shared = build_random_ansatz(2, 4, RngStream(22)).batch(5)
+    assert shared.size == 5 and shared.perms.shape == (4, 1, 4)
+
+
+def test_each_fixed_array_is_checked_once(monkeypatch):
+    calls = []
+    original = circuits.is_unitary
+    monkeypatch.setattr(circuits, "is_unitary", lambda w: calls.append(w) or original(w))
+    a = build_hardware_efficient(3, 3, "cnot-su2", RngStream(23))
+    assert a.num_layers == 27
+    assert len(calls) == 2  # the shared identity and the CNOT chain
+
+
+def test_chunk_grid_is_fixed_by_size():
+    grid = chunk_grid(40, 4, 64)
+    assert grid == [(0, 16), (16, 32), (32, 40)]
+    assert chunk_grid(3, 256, 16) == [(0, 1), (1, 2), (2, 3)]

@@ -16,6 +16,7 @@ from qntklab.experiments import (
     run_experiment,
     validate_config,
 )
+from qntklab.circuits import chunk_grid, samples_per_chunk
 from qntklab.cli import main as cli_main
 from qntklab.haar import MomentEstimate
 
@@ -323,3 +324,44 @@ def test_qntk_stats_report_contains_theory_slope(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["ratio_slope_theory"] == pytest.approx(-0.5, abs=1e-9)
     assert "ratio_slope_empirical" in report
+
+
+def test_chunked_outputs_byte_identical_across_threads(tmp_path):
+    # both ensembles span several chunks and end in a partial one
+    stats = validate_config(qntk_cfg(layers=[16, 64], samples=40))
+    assert len(chunk_grid(40, 4, 64)) > 1 and 40 % samples_per_chunk(4, 64) != 0
+    train = validate_config(train_cfg(qubits=3, layers=64, steps=15, trials=6))
+    assert len(chunk_grid(6, 8, 64)) > 1 and 6 % samples_per_chunk(8, 64) != 0
+    for name, cfg in (("stats", stats), ("train", train)):
+        trees = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"{name}_{threads}"
+            assert run_experiment(dict(cfg, threads=threads), out) == EXIT_OK
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1] == trees[2]
+
+
+def test_decay_fit_keys_validated(tmp_path):
+    base = {"kind": "decay-fit", "input": str(tmp_path), "seed": 0}
+    with pytest.raises(ConfigError, match="burn_in"):
+        validate_config(dict(base, burn_in="ten"))
+    with pytest.raises(ConfigError, match="floor"):
+        validate_config(dict(base, floor="tiny"))
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(dict(base, burn_in="ten")))
+    assert cli_main(["decay-fit", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_pauli_sum_width_must_match_qubits(tmp_path):
+    wide = {"kind": "pauli-sum", "terms": [[1.0, "XYZ"]]}
+    with pytest.raises(ConfigError, match="observable"):
+        validate_config(qntk_cfg(observable=wide))
+    narrow = {"kind": "pauli-sum", "terms": [[1.0, "XY"]]}
+    haar = {"kind": "haar-check", "qubits": [2, 3], "samples": 10, "seed": 1, "observable": narrow}
+    with pytest.raises(ConfigError, match="observable"):
+        validate_config(haar)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(qntk_cfg(observable=wide)))
+    assert cli_main(["qntk-stats", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    path.write_text(json.dumps(haar))
+    assert cli_main(["haar-check", "--config", str(path), "--out", str(tmp_path / "h")]) == 1

@@ -3,8 +3,10 @@ import pytest
 
 from qntklab.circuits import (
     AnsatzSpec,
+    CircuitBatch,
     build_random_ansatz,
     circuit_unitary,
+    cnot_chain,
     prefix_suffix,
     uniform_angles,
 )
@@ -12,6 +14,7 @@ from qntklab.kernels import (
     NonRealExpectationError,
     Observable,
     SupervisedProblem,
+    forward_adjoint,
     gradient,
     hessian_residual,
     meta_kernel,
@@ -22,9 +25,24 @@ from qntklab.kernels import (
     residual_error,
     supervised_kernel,
 )
-from qntklab.linalg import PauliString, RngStream, basis_state, pauli_matrix, zero_state
+from qntklab.linalg import (
+    PauliString,
+    RngStream,
+    _pauli_action,
+    basis_state,
+    haar_unitary,
+    pauli_matrix,
+    sample_pauli,
+    zero_state,
+)
 
-from helpers import fd_gradient, fd_hessian, gradient_close, parameter_shift_gradient
+from helpers import (
+    dense_output_and_gradient,
+    fd_gradient,
+    fd_hessian,
+    gradient_close,
+    parameter_shift_gradient,
+)
 
 ZZ = Observable(((1.0, PauliString("ZZ")),))
 
@@ -258,3 +276,57 @@ def test_unnormalized_state_rejected():
     ansatz = build_random_ansatz(2, 3, RngStream(21))
     with pytest.raises(ValueError, match="normalized"):
         residual_error(ansatz, np.zeros(3), ZZ, 2.0 * zero_state(2))
+
+
+def test_mixed_engine_call_matches_single_circuit_oracle():
+    # layers 1 and 3 carry one Haar matrix per circuit, layer 2 one Haar
+    # matrix shared by all, layer 4 the shared CNOT chain; every circuit has
+    # its own generators, angles and input state
+    n, size, layers = 2, 5, 4
+    dim = 1 << n
+    rng = RngStream(31)
+    own = [np.stack([haar_unitary(dim, rng.substream(100 * k + s)) for s in range(size)]) for k in (0, 2)]
+    fixed = (own[0], haar_unitary(dim, rng.substream(7)), own[1], cnot_chain(n))
+    letters = [[sample_pauli(n, rng.substream(1000 + s)).letters for _ in range(layers)] for s in range(size)]
+    actions = [[_pauli_action(x) for x in row] for row in letters]
+    perms = np.array([[actions[s][k][0] for s in range(size)] for k in range(layers)])
+    phases = np.array([[actions[s][k][1] for s in range(size)] for k in range(layers)])
+    batch = CircuitBatch(n, size, fixed, perms, phases)
+    theta = rng.substream(2).generator.uniform(0.0, 2.0 * np.pi, size=(layers, size))
+    states = rng.substream(3).generator.standard_normal((size, dim, 2)) @ np.array([1.0, 1.0j])
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    obs = random_pauli_sum(n, 10, rng.substream(4))
+    outputs, grads = forward_adjoint(batch, theta, states, obs.matrix)
+    assert outputs.shape == (size,) and grads.shape == (size, layers)
+    for s in range(size):
+        per_layer = [w if w.ndim == 2 else w[s] for w in fixed]
+        value, grad = dense_output_and_gradient(letters[s], per_layer, theta[:, s], states[s], obs.matrix)
+        assert abs(outputs[s] - value) <= 1e-12
+        assert np.max(np.abs(grads[s] - grad)) <= 1e-12
+
+
+def test_engine_rejects_unnormalized_row():
+    ansatz = build_random_ansatz(2, 3, RngStream(32))
+    states = np.stack([zero_state(2), 2.0 * basis_state(2, 1)])
+    with pytest.raises(ValueError, match="normalized"):
+        forward_adjoint(ansatz.batch(2), np.zeros((3, 2)), states, ZZ.matrix)
+
+
+def test_supervised_points_are_batched_within_the_byte_budget(monkeypatch):
+    import qntklab.kernels as kernels
+
+    rng = RngStream(33)
+    ansatz = build_random_ansatz(3, 5, rng.substream(0))
+    theta = uniform_angles(5, rng.substream(1))
+    obs = random_pauli_sum(3, 6, rng.substream(2))
+    second = Observable(((1.0, PauliString("ZZI")),))
+    prob = SupervisedProblem.with_basis_features(3, np.zeros((8, 2)), (obs, second))
+    whole = kernels.outputs_and_gradients(ansatz, theta, prob)
+    sizes = []
+    engine = kernels.forward_adjoint
+    monkeypatch.setattr(kernels, "forward_adjoint", lambda b, *a: sizes.append(b.size) or engine(b, *a))
+    monkeypatch.setattr(kernels, "STACK_BYTES", 3 * 5 * 8 * 16)
+    blocks = kernels.outputs_and_gradients(ansatz, theta, prob)
+    assert sizes == [3, 3, 3, 3, 2, 2]
+    assert np.max(np.abs(blocks[0] - whole[0])) <= 1e-12
+    assert np.max(np.abs(blocks[1] - whole[1])) <= 1e-12

@@ -7,7 +7,9 @@ from qntklab.linalg import (
     RngStream,
     basis_state,
     haar_unitary,
+    is_unitary,
     kahan_sum,
+    matrices_per_block,
     pauli_matrix,
     pauli_rotation,
     rotate_state,
@@ -182,3 +184,13 @@ def test_basis_state_bounds():
 def test_kahan_sum_compensates():
     values = [1e16, 1.0, -1e16] * 10
     assert kahan_sum(values) == 10.0
+
+
+def test_is_unitary_checks_every_matrix_of_a_stack():
+    block = matrices_per_block(4)
+    stack = np.stack([haar_unitary(4, RngStream(40, k)) for k in range(block + 3)])
+    assert is_unitary(stack)
+    assert is_unitary(stack[0])
+    stack[-1, 0, 0] += 1e-8  # beyond the first block
+    assert not is_unitary(stack)
+    assert not is_unitary(np.full((2, 2), np.nan))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from qntklab.circuits import build_random_ansatz, uniform_angles
+from qntklab.circuits import (
+    build_random_ansatz,
+    ensemble_angles,
+    sample_random_circuits,
+    uniform_angles,
+)
 from qntklab.kernels import (
     Observable,
     SupervisedProblem,
@@ -17,6 +22,7 @@ from qntklab.training import (
     TrainingConfig,
     TrainingDivergenceError,
     fit_decay_rate,
+    gd_batch,
     gd_optimize,
     gd_supervised,
 )
@@ -203,3 +209,39 @@ def test_fit_decay_rate_needs_points():
         fit_decay_rate(np.exp(-0.1 * np.arange(5)))
     with pytest.raises(ValueError):
         fit_decay_rate(np.full(50, 1e-15), floor=1e-12)
+
+
+def test_batched_divergence_matches_solo_runs():
+    streams = [RngStream(12, (k,)) for k in range(3)]
+    batch = sample_random_circuits(2, 6, streams)
+    theta0 = ensemble_angles(6, streams).T
+    obs = random_pauli_sum(2, 10, RngStream(13))
+    psi = zero_state(2)
+
+    def solo(k, init, observable):
+        cfg = TrainingConfig(learning_rate=1e-2, steps=30, init_angles=init)
+        return gd_optimize(build_random_ansatz(2, 6, RngStream(12, (k,))), observable, psi, cfg)
+
+    healthy = gd_batch(batch, obs.matrix, obs.target, psi, theta0, 1e-2, 30)
+    assert healthy[3] == {}
+    poisoned = theta0.copy()
+    poisoned[1, 2] = np.inf
+    errors, kernels, _, diverged = gd_batch(batch, obs.matrix, obs.target, psi, poisoned, 1e-2, 30)
+    with pytest.raises(TrainingDivergenceError) as alone:
+        solo(1, poisoned[1], obs)
+    assert diverged == {1: str(alone.value)}
+    for k in (0, 2):
+        assert np.array_equal(errors[k], healthy[0][k])
+        assert np.array_equal(kernels[k], healthy[1][k])
+        reference = solo(k, theta0[k], obs)
+        assert np.max(np.abs(errors[k] - reference.errors)) <= 1e-12
+
+    # divergence during the run: every trial overflows, each at its own step
+    huge = Observable(((1e160, PauliString("ZZ")), (1e160, PauliString("XI"))))
+    _, _, _, diverged = gd_batch(batch, huge.matrix, 0.0, psi, theta0, 1.0, 30)
+    assert sorted(diverged) == [0, 1, 2]
+    for k in range(3):
+        with pytest.raises(TrainingDivergenceError) as alone:
+            cfg = TrainingConfig(learning_rate=1.0, steps=30, init_angles=theta0[k])
+            gd_optimize(build_random_ansatz(2, 6, RngStream(12, (k,))), huge, psi, cfg)
+        assert diverged[k] == str(alone.value)
