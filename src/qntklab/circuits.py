@@ -105,8 +105,9 @@ class CircuitBatch:
     ``fixed[l]`` is the fixed unitary of layer l+1: an (S, D, D) stack with one
     matrix per circuit, or a single (D, D) matrix that all S circuits share.
     ``perms[l]`` and ``phases[l]`` apply the layer's Pauli generator as in
-    :func:`linalg._pauli_action`, one row per circuit, or a single row when
-    the generator is shared; both have shape (L, S or 1, D).
+    :func:`linalg._pauli_action`, one entry per circuit, or a single entry
+    when the generator is shared; both have shape (L, S or 1, D).  In the
+    engine each circuit serves P consecutive rows, one per input state.
     """
 
     num_qubits: int

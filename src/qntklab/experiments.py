@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -25,25 +26,12 @@ from .circuits import (
     chunk_grid,
     ensemble_angles,
     sample_random_circuits,
-    uniform_angles,
 )
 from .haar import mc_commutator_trace, mc_second_moment
-from .kernels import (
-    Observable,
-    SupervisedProblem,
-    ensemble_kernels,
-    random_pauli_sum,
-    supervised_kernel,
-)
+from .kernels import Observable, ensemble_kernels, forward_adjoint, random_pauli_sum
 from .linalg import PauliString, RngStream, kahan_sum, pauli_matrix, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
-from .training import (
-    TrainingConfig,
-    TrainingDivergenceError,
-    fit_decay_rate,
-    gd_batch,
-    gd_supervised,
-)
+from .training import fit_decay_rate, gd_batch, squared_loss
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,37 +105,50 @@ def _fail(key: str, message: str):
 
 
 def _require(cfg: dict, key: str):
-    if key not in cfg:
-        _fail(key, "is required")
-    return cfg[key]
+    """The value of ``key``, or its default; a key with neither is an error."""
+    if key in cfg:
+        return cfg[key]
+    if key in _DEFAULTS:
+        return _DEFAULTS[key]
+    _fail(key, "is required")
 
 
-def _as_int(cfg: dict, key: str, minimum: int | None = None) -> int:
-    value = _require(cfg, key)
+def _as_int(key: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(key, f"must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        _fail(key, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(key, f"must be <= {maximum}, got {value}")
+    return value
+
+
+def _as_ints(key: str, value, minimum: int, maximum: int | None = None) -> list[int]:
+    """An integer or a non-empty list of them, as a list."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        _fail(key, "must be an integer or a non-empty list of them")
+    return [_as_int(f"{key}[{i}]", v, minimum, maximum) for i, v in enumerate(values)]
+
+
+def _as_number(key: str, value, positive: bool = False, minimum: float | None = None):
+    """A finite number, returned as given (an int stays an int)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(key, f"must be a number, got {value!r}")
+    # NaN, infinities and ints beyond the float range all fail this comparison
+    if not abs(value) <= sys.float_info.max:
+        _fail(key, f"must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        _fail(key, f"must be positive, got {value}")
     if minimum is not None and value < minimum:
         _fail(key, f"must be >= {minimum}, got {value}")
     return value
 
 
-def _as_number(cfg: dict, key: str, positive: bool = False) -> float:
-    value = _require(cfg, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(key, f"must be a number, got {value!r}")
-    if positive and value <= 0:
-        _fail(key, f"must be positive, got {value}")
-    return float(value)
-
-
 def _validate_fit_keys(cfg: dict, out: dict):
     """The decay-fit keys ``burn_in`` and ``floor``, with their defaults."""
-    out["burn_in"] = cfg.get("burn_in", _DEFAULTS["burn_in"])
-    out["floor"] = cfg.get("floor", _DEFAULTS["floor"])
-    if not isinstance(out["burn_in"], int) or out["burn_in"] < 0:
-        _fail("burn_in", "must be a non-negative integer")
-    if not isinstance(out["floor"], (int, float)) or out["floor"] < 0:
-        _fail("floor", "must be a non-negative number")
+    out["burn_in"] = _as_int("burn_in", _require(cfg, "burn_in"), minimum=0)
+    out["floor"] = _as_number("floor", _require(cfg, "floor"), minimum=0)
 
 
 def _check_observable_width(spec: dict, qubits: int):
@@ -162,19 +163,16 @@ def _validate_observable(spec, key="observable") -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         _fail(key, "must be an object with a 'kind' field")
     kind = spec["kind"]
+    normalized = dict(spec)
     if kind == "pauli-sum":
         allowed = {"kind", "terms", "target"}
         terms = spec.get("terms")
         if not isinstance(terms, list) or not terms:
             _fail(f"{key}.terms", "must be a non-empty list of [coefficient, letters] pairs")
         for i, term in enumerate(terms):
-            if (
-                not isinstance(term, list)
-                or len(term) != 2
-                or not isinstance(term[0], (int, float))
-                or not isinstance(term[1], str)
-            ):
+            if not isinstance(term, list) or len(term) != 2 or not isinstance(term[1], str):
                 _fail(f"{key}.terms[{i}]", "must be a [coefficient, letters] pair")
+            _as_number(f"{key}.terms[{i}]", term[0])
             try:
                 PauliString(term[1])
             except ValueError as exc:
@@ -184,27 +182,18 @@ def _validate_observable(spec, key="observable") -> dict:
             _fail(f"{key}.terms", "all Pauli strings must act on the same qubit count")
     elif kind == "random-pauli-sum":
         allowed = {"kind", "num_terms", "coeff_low", "coeff_high", "target"}
-        num_terms = spec.get("num_terms", 10)
-        if not isinstance(num_terms, int) or num_terms < 1:
-            _fail(f"{key}.num_terms", "must be a positive integer")
-        low = spec.get("coeff_low", 0.0)
-        high = spec.get("coeff_high", 1.0)
-        if not isinstance(low, (int, float)) or not isinstance(high, (int, float)) or high <= low:
+        normalized["num_terms"] = _as_int(f"{key}.num_terms", spec.get("num_terms", 10), minimum=1)
+        low = float(_as_number(f"{key}.coeff_low", spec.get("coeff_low", 0.0)))
+        high = float(_as_number(f"{key}.coeff_high", spec.get("coeff_high", 1.0)))
+        if high <= low:
             _fail(f"{key}.coeff_low/coeff_high", "must be numbers with coeff_high > coeff_low")
+        normalized["coeff_low"], normalized["coeff_high"] = low, high
     else:
         _fail(f"{key}.kind", f"must be 'pauli-sum' or 'random-pauli-sum', got {kind!r}")
     unknown = set(spec) - allowed
     if unknown:
         _fail(f"{key}.{sorted(unknown)[0]}", "unknown key")
-    target = spec.get("target", 0.0)
-    if not isinstance(target, (int, float)):
-        _fail(f"{key}.target", "must be a number")
-    normalized = dict(spec)
-    normalized["target"] = float(target)
-    if kind == "random-pauli-sum":
-        normalized.setdefault("num_terms", 10)
-        normalized["coeff_low"] = float(normalized.get("coeff_low", 0.0))
-        normalized["coeff_high"] = float(normalized.get("coeff_high", 1.0))
+    normalized["target"] = float(_as_number(f"{key}.target", spec.get("target", 0.0)))
     return normalized
 
 
@@ -223,10 +212,8 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
     unknown = set(cfg) - _ALLOWED_KEYS[kind]
     if unknown:
         _fail(sorted(unknown)[0], f"unknown key for kind '{kind}'")
-    out = {"kind": kind, "seed": _as_int(cfg, "seed", minimum=0)}
-    out["threads"] = cfg.get("threads", _DEFAULTS["threads"])
-    if not isinstance(out["threads"], int) or out["threads"] < 1:
-        _fail("threads", "must be a positive integer")
+    out = {"kind": kind, "seed": _as_int("seed", _require(cfg, "seed"), minimum=0)}
+    out["threads"] = _as_int("threads", _require(cfg, "threads"), minimum=1)
     if "out" in cfg:
         if not isinstance(cfg["out"], str):
             _fail("out", "must be a path string")
@@ -240,77 +227,51 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         _validate_fit_keys(cfg, out)
         return out
 
-    out["qubits"] = _require(cfg, "qubits")
     if kind == "haar-check":
-        qubits = out["qubits"]
-        if isinstance(qubits, int):
-            qubits = [qubits]
-        if not isinstance(qubits, list) or not all(isinstance(q, int) and q >= 1 for q in qubits):
-            _fail("qubits", "must be a positive integer or list of them")
-        out["qubits"] = qubits
-        out["samples"] = _as_int(cfg, "samples", minimum=1)
+        out["qubits"] = _as_ints("qubits", _require(cfg, "qubits"), minimum=1)
+        out["samples"] = _as_int("samples", _require(cfg, "samples"), minimum=1)
         out["observable"] = _validate_observable(
             cfg.get("observable", {"kind": "random-pauli-sum", "num_terms": 10})
         )
         # one observable serves every qubit count: it is realized on the
         # largest and truncated to its leading letters for the smaller ones
-        _check_observable_width(out["observable"], max(qubits))
+        _check_observable_width(out["observable"], max(out["qubits"]))
         return out
 
-    if not isinstance(out["qubits"], int) or out["qubits"] < 1:
-        _fail("qubits", "must be a positive integer")
+    out["qubits"] = _as_int("qubits", _require(cfg, "qubits"), minimum=1)
     out["observable"] = _validate_observable(_require(cfg, "observable"))
     _check_observable_width(out["observable"], out["qubits"])
 
     if kind == "qntk-stats":
-        layers = _require(cfg, "layers")
-        if isinstance(layers, int):
-            layers = [layers]
-        if not isinstance(layers, list) or not all(isinstance(v, int) and v >= 0 for v in layers):
-            _fail("layers", "must be a non-negative integer or list of them")
-        out["layers"] = layers
-        out["samples"] = _as_int(cfg, "samples", minimum=1)
+        out["layers"] = _as_ints("layers", _require(cfg, "layers"), minimum=0)
+        out["samples"] = _as_int("samples", _require(cfg, "samples"), minimum=1)
     else:
-        out["layers"] = _as_int(cfg, "layers", minimum=0)
+        out["layers"] = _as_int("layers", _require(cfg, "layers"), minimum=0)
 
     if kind in ("train", "train-supervised"):
-        out["eta"] = _as_number(cfg, "eta", positive=True)
-        out["steps"] = _as_int(cfg, "steps", minimum=1)
-        out["trials"] = _as_int(cfg, "trials", minimum=1)
+        out["eta"] = float(_as_number("eta", _require(cfg, "eta"), positive=True))
+        out["steps"] = _as_int("steps", _require(cfg, "steps"), minimum=1)
+        out["trials"] = _as_int("trials", _require(cfg, "trials"), minimum=1)
         _validate_fit_keys(cfg, out)
     if kind == "train-supervised":
-        out["train_size"] = _as_int(cfg, "train_size", minimum=1)
+        out["train_size"] = _as_int("train_size", _require(cfg, "train_size"), minimum=1)
         if out["train_size"] > (1 << out["qubits"]):
             _fail("train_size", "exceeds the Hilbert dimension (basis features are orthogonal)")
     if kind == "eigen-scan":
-        out["trials"] = _as_int(cfg, "trials", minimum=1)
-        sizes = _require(cfg, "train_sizes")
-        if isinstance(sizes, int):
-            sizes = [sizes]
-        dim = 1 << out["qubits"]
-        if (
-            not isinstance(sizes, list)
-            or not sizes
-            or not all(isinstance(v, int) for v in sizes)
-            or not all(2 <= v <= dim for v in sizes)
-        ):
-            _fail("train_sizes", f"must be integers within [2, {dim}]")
-        out["train_sizes"] = sizes
+        out["trials"] = _as_int("trials", _require(cfg, "trials"), minimum=1)
+        out["train_sizes"] = _as_ints("train_sizes", _require(cfg, "train_sizes"), 2, 1 << out["qubits"])
 
     if kind in ("qntk-stats", "train", "train-supervised"):
-        resample = cfg.get("resample", _DEFAULTS["resample"])
+        resample = _require(cfg, "resample")
         if resample not in ("instance", "angle"):
             _fail("resample", "must be 'instance' or 'angle'")
         out["resample"] = resample
-        out["exclude_identity"] = cfg.get("exclude_identity", _DEFAULTS["exclude_identity"])
-        if not isinstance(out["exclude_identity"], bool):
-            _fail("exclude_identity", "must be a boolean")
-        ansatz = cfg.get("ansatz", _DEFAULTS["ansatz"])
+        ansatz = _require(cfg, "ansatz")
         if ansatz not in ("random-haar", "hardware-efficient-cphase", "hardware-efficient-cnot"):
             _fail("ansatz", f"unknown ansatz family {ansatz!r}")
         out["ansatz"] = ansatz
-    if kind == "eigen-scan":
-        out["exclude_identity"] = cfg.get("exclude_identity", _DEFAULTS["exclude_identity"])
+    if kind != "haar-check":
+        out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
     return out
@@ -435,11 +396,6 @@ def _run_chunks(worker, payload, grid):
     return [value for lo, hi in grid for value in worker(payload, lo, hi)]
 
 
-def _unit_grid(count: int) -> list[tuple[int, int]]:
-    """One chunk per trial, for the kinds whose trials run one circuit at a time."""
-    return [(k, k + 1) for k in range(count)]
-
-
 def _circuit_batch(cfg: dict, layers: int, streams, shared: RngStream) -> CircuitBatch:
     """The circuits of one ensemble chunk: one per stream, or the shared one in angle mode."""
     n = cfg["qubits"]
@@ -534,49 +490,48 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
 # train
 
 
-def _train_chunk(payload: dict, lo: int, hi: int) -> list[dict]:
+def _descent_chunk(payload: dict, lo: int, hi: int) -> list[dict]:
+    """Gradient descent of the trials [lo, hi) of ``train`` or ``train-supervised`` in one batch.
+
+    Every trial's circuit serves one row per training point (the payload's
+    ``features``), all trained toward the payload's ``target``.
+    """
     cfg = payload["cfg"]
-    obs = payload["observable"]
     streams = [RngStream(cfg["seed"], (_LANE_TRIALS, k)) for k in range(lo, hi)]
     shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,))
     batch = _circuit_batch(cfg, cfg["layers"], streams, shared)
     theta0 = ensemble_angles(batch.num_layers, streams).T
-    errors, kernels, _, diverged = gd_batch(
-        batch, obs.matrix, obs.target, zero_state(cfg["qubits"]), theta0, cfg["eta"], cfg["steps"]
+    psi0 = np.tile(payload["features"], (len(streams), 1))
+    residuals, kernels, _, diverged = gd_batch(
+        batch, payload["observable"].matrix, payload["target"], psi0, theta0, cfg["eta"], cfg["steps"]
     )
-    results = []
-    for s in range(len(streams)):
-        if s in diverged:
-            results.append({"diverged": True, "message": diverged[s]})
-            continue
-        try:
-            rate, r2 = fit_decay_rate(errors[s], burn_in=cfg["burn_in"], floor=cfg["floor"])
-        except ValueError:
-            rate, r2 = float("nan"), float("nan")
-        results.append(
-            {
-                "diverged": False,
-                "errors": errors[s],
-                "kernels": kernels[s],
-                "gamma": rate,
-                "r_squared": r2,
-            }
-        )
-    return results
+    return [
+        {"diverged": True, "message": diverged[s]}
+        if s in diverged
+        else {"diverged": False, "residuals": residuals[s], "kernels": kernels[s]}
+        for s in range(len(streams))
+    ]
 
 
 def run_train(cfg: dict, out_dir: Path) -> int:
     digest = config_hash(cfg)
     obs = realize_observable(cfg)
     dim = 1 << cfg["qubits"]
-    payload = {"cfg": cfg, "observable": obs}
+    features = zero_state(cfg["qubits"])[None]
+    payload = {"cfg": cfg, "observable": obs, "features": features, "target": obs.target}
     grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
-    results = _map_chunks(_train_chunk, payload, grid, cfg["threads"])
+    results = _map_chunks(_descent_chunk, payload, grid, cfg["threads"])
     diverged = [k for k, r in enumerate(results) if r["diverged"]]
     live = [r for r in results if not r["diverged"]]
     for k, res in enumerate(results):
         if res["diverged"]:
             continue
+        res["errors"] = res["residuals"][:, 0]
+        try:
+            fit = fit_decay_rate(res["errors"], burn_in=cfg["burn_in"], floor=cfg["floor"])
+        except ValueError:
+            fit = float("nan"), float("nan")
+        res["gamma"], res["r_squared"] = fit
         write_csv(
             out_dir / "trials" / f"trial_{k}.csv",
             ["step", "residual", "kernel"],
@@ -620,43 +575,23 @@ def run_train(cfg: dict, out_dir: Path) -> int:
 # train-supervised
 
 
-def _train_supervised_trials(payload: dict, lo: int, hi: int) -> list[dict]:
-    cfg = payload["cfg"]
-    n = cfg["qubits"]
-    labels = np.asarray(payload["labels"], dtype=float)
-    prob = SupervisedProblem.with_basis_features(n, labels, (payload["observable"],))
-    results = []
-    for index in range(lo, hi):
-        trial = RngStream(cfg["seed"], (_LANE_TRIALS, index))
-        if cfg["resample"] == "instance":
-            ansatz = _build_ansatz(cfg, n, cfg["layers"], trial)
-        else:
-            ansatz = _build_ansatz(cfg, n, cfg["layers"], RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,)))
-        theta0 = uniform_angles(ansatz.num_layers, trial.substream(0))
-        tcfg = TrainingConfig(
-            learning_rate=cfg["eta"], steps=cfg["steps"], seed=cfg["seed"], init_angles=theta0
-        )
-        try:
-            traj = gd_supervised(ansatz, prob, tcfg)
-        except TrainingDivergenceError as exc:
-            results.append({"diverged": True, "message": str(exc)})
-            continue
-        results.append({"diverged": False, "losses": traj.errors, "kernels": traj.kernels})
-    return results
-
-
 def run_train_supervised(cfg: dict, out_dir: Path) -> int:
     digest = config_hash(cfg)
     obs = realize_observable(cfg)
     label_rng = RngStream(cfg["seed"], (_LANE_LABELS,))
     labels = 2.0 * label_rng.generator.integers(0, 2, size=cfg["train_size"]) - 1.0
-    payload = {"cfg": cfg, "observable": obs, "labels": labels.tolist()}
-    results = _map_chunks(_train_supervised_trials, payload, _unit_grid(cfg["trials"]), cfg["threads"])
+    dim = 1 << cfg["qubits"]
+    # basis features |d>, d < train_size, are orthogonal (train_size <= D is validated)
+    features = np.eye(dim, dtype=complex)[: cfg["train_size"]]
+    payload = {"cfg": cfg, "observable": obs, "features": features, "target": labels[:, None]}
+    grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
+    results = _map_chunks(_descent_chunk, payload, grid, cfg["threads"])
     diverged = [k for k, r in enumerate(results) if r["diverged"]]
     live = [r for r in results if not r["diverged"]]
     for k, res in enumerate(results):
         if res["diverged"]:
             continue
+        res["losses"] = squared_loss(res["residuals"])
         write_csv(
             out_dir / "trials" / f"trial_{k}.csv",
             ["step", "loss", "kernel_trace"],
@@ -690,20 +625,20 @@ def run_train_supervised(cfg: dict, out_dir: Path) -> int:
 # eigen-scan
 
 
-def _eigen_trials(payload: dict, lo: int, hi: int) -> list[tuple[float, list[list[float]]]]:
+def _eigen_chunk(payload: dict, lo: int, hi: int) -> list[tuple[float, np.ndarray]]:
+    """Lowest eigenvalue and supervised kernel of the trials [lo, hi): one engine call.
+
+    Each trial's circuit serves one row per basis feature |d>, d < train_size.
+    """
     cfg = payload["cfg"]
-    n = cfg["qubits"]
-    prob = SupervisedProblem.with_basis_features(
-        n, np.zeros(payload["train_size"]), (payload["observable"],)
-    )
-    results = []
-    for index in range(lo, hi):
-        trial = RngStream(cfg["seed"], (_LANE_TRIALS, payload["size_index"], index))
-        ansatz = build_random_ansatz(n, cfg["layers"], trial, exclude_identity=cfg["exclude_identity"])
-        theta = uniform_angles(cfg["layers"], trial.substream(0))
-        kernel = supervised_kernel(ansatz, theta, prob)
-        results.append((float(np.linalg.eigvalsh(kernel)[0]), kernel.tolist()))
-    return results
+    n, layers, size = cfg["qubits"], cfg["layers"], payload["train_size"]
+    streams = [RngStream(cfg["seed"], (_LANE_TRIALS, payload["size_index"], k)) for k in range(lo, hi)]
+    batch = sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
+    psi0 = np.tile(np.eye(1 << n, dtype=complex)[:size], (len(streams), 1))
+    _, grads = forward_adjoint(batch, ensemble_angles(layers, streams), psi0, payload["observable"].matrix)
+    grads = grads.reshape(len(streams), size, layers)
+    kernels = grads @ grads.swapaxes(1, 2)
+    return list(zip(np.linalg.eigvalsh(kernels)[:, 0], kernels))
 
 
 def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
@@ -715,9 +650,10 @@ def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
     summary_rows = []
     for si, size in enumerate(cfg["train_sizes"]):
         payload = {"cfg": cfg, "observable": obs, "train_size": size, "size_index": si}
-        results = _map_chunks(_eigen_trials, payload, _unit_grid(cfg["trials"]), cfg["threads"])
+        grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
+        results = _map_chunks(_eigen_chunk, payload, grid, cfg["threads"])
         lowest_each = np.array([r[0] for r in results])
-        mean_kernel = np.mean([np.asarray(r[1]) for r in results], axis=0)
+        mean_kernel = np.mean([r[1] for r in results], axis=0)
         spectrum = kernel_eigenvalues(dim, cfg["layers"], size, tr_o2, tr_o)
         lowest_of_mean = float(np.linalg.eigvalsh(mean_kernel)[0])
         summary_rows.append(

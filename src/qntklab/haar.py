@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuits import AnsatzSpec, build_random_ansatz, chunk_grid, sample_random_circuits
 from .kernels import Observable, ensemble_kernels
-from .linalg import RngStream, haar_unitary, kahan_sum
+from .linalg import RngStream, ginibre, haar_from_ginibre, kahan_sum, matrices_per_block
 from .theory import kbar_exact
 
 
@@ -74,10 +74,9 @@ def mc_second_moment(
         raise ValueError("operator must be Hermitian")
     target = float(np.real(np.trace(op @ op))) / (dim**2 + dim)
     values = np.empty(samples)
-    for s in range(samples):
-        v = haar_unitary(dim, rng.substream(s))
+    for lo, v in _haar_blocks(dim, samples, rng):
         w = v @ psi
-        values[s] = np.real(np.vdot(w, op @ w)) ** 2
+        values[lo : lo + len(v)] = np.real(np.sum(w.conj() * (w @ op.T), axis=1)) ** 2
     return MomentEstimate.from_samples(values, target)
 
 
@@ -100,13 +99,31 @@ def mc_commutator_trace(
     tr_x2 = float(np.real(np.trace(x_op @ x_op)))
     target = -2.0 * ((dim * tr_o2 - tr_o**2) / (dim**2 - 1)) * (tr_x2 - tr_x**2 / dim)
     values = np.empty(samples)
-    for s in range(samples):
-        v = haar_unitary(dim, rng.substream(s))
-        m = v.conj().T @ obs @ v
+    for lo, v in _haar_blocks(dim, samples, rng):
+        m = v.conj().swapaxes(1, 2) @ obs @ v
         comm = x_op @ m - m @ x_op
         # entrywise cancellation first, so commuting observables give ~0 exactly
-        values[s] = np.real(np.sum(comm.T * comm))
+        values[lo : lo + len(v)] = np.real(np.sum(comm.swapaxes(1, 2) * comm, axis=(1, 2)))
     return MomentEstimate.from_samples(values, target)
+
+
+def _haar_blocks(dim: int, samples: int, rng: RngStream):
+    """(lo, V) for blocks of Haar samples V_s = haar_unitary(dim, rng.substream(s)), s = lo, lo+1, ...
+
+    Each block holds :func:`linalg.matrices_per_block` matrices, drawn from
+    their own substreams (real part before imaginary part) and QR'd as one
+    stack, so every V_s is bit-identical to the unitary drawn alone.
+    """
+    step = matrices_per_block(dim)
+    real = np.empty((min(step, samples), dim, dim))
+    imag = np.empty_like(real)
+    for lo in range(0, samples, step):
+        count = min(step, samples - lo)
+        for i in range(count):
+            gen = rng.substream(lo + i).generator
+            gen.standard_normal(out=real[i])
+            gen.standard_normal(out=imag[i])
+        yield lo, haar_from_ginibre(ginibre(real[:count], imag[:count]))
 
 
 def mc_kbar(

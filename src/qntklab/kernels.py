@@ -10,9 +10,9 @@ is the generator conjugated by its own fixed unitary, and ``Otilde_ell`` is
 the observable pulled back through the remaining layers.  One forward pass and
 one backward pass give all L components exactly; no parameter-shift evaluations
 or finite differences are involved (those exist only as test oracles).  The
-passes run over a leading sample axis (:func:`forward_adjoint`), so a chunk of
-S circuits costs one pass of S-row array operations per layer; a single
-circuit is the chunk S=1.
+passes run over a leading row axis (:func:`forward_adjoint`): a chunk of S
+circuits, each with P input states, costs one pass of S*P-row array
+operations per layer; a single circuit with one input is the chunk S=P=1.
 
 The second derivative is the nested commutator
 
@@ -24,7 +24,7 @@ and ``M`` the fully Heisenberg-evolved observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +62,24 @@ def real_expectation(matrix: np.ndarray, psi: np.ndarray, tol: float = IMAG_TOL)
     return float(_real_rows(np.array([np.vdot(psi, matrix @ psi)]), tol)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Observable:
-    """Hermitian operator as a weighted Pauli sum with a cached dense matrix.
+    """Hermitian operator as a weighted Pauli sum, immutable, with a cached dense matrix.
 
-    ``target`` is the scalar the expectation value is trained toward.
+    ``target`` is the scalar the expectation value is trained toward.  The
+    matrix and the spectrum are computed on first use and kept outside the
+    dataclass fields, so they can be neither passed in nor left stale.
     """
 
     terms: tuple[tuple[float, PauliString], ...]
     target: float = 0.0
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.terms = tuple((float(c), p) for c, p in self.terms)
+        object.__setattr__(self, "terms", tuple((float(c), p) for c, p in self.terms))
         if not self.terms:
             raise ValueError("observable needs at least one term")
+        if not all(np.isfinite(c) for c, _ in self.terms):
+            raise ValueError("observable coefficients must be finite")
         n = self.terms[0][1].num_qubits
         if any(p.num_qubits != n for _, p in self.terms):
             raise ValueError("all terms must act on the same number of qubits")
@@ -92,20 +94,22 @@ class Observable:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
+        cache = self.__dict__
+        if "_matrix" not in cache:
             acc = np.zeros((self.dim, self.dim), dtype=complex)
             for coef, pauli in self.terms:
                 acc += coef * pauli_matrix(pauli)
             acc.setflags(write=False)
-            self._matrix = acc
-        return self._matrix
+            cache["_matrix"] = acc
+        return cache["_matrix"]
 
     def trace_power(self, k: int) -> float:
         """Tr(O^k), computed from the dense spectrum (works for any Hermitian O)."""
-        if self._eigenvalues is None:
-            self._eigenvalues = np.linalg.eigvalsh(self.matrix)
+        cache = self.__dict__
+        if "_eigenvalues" not in cache:
+            cache["_eigenvalues"] = np.linalg.eigvalsh(self.matrix)
         with np.errstate(over="ignore"):
-            return float(np.sum(self._eigenvalues**k))
+            return float(np.sum(cache["_eigenvalues"] ** k))
 
     def with_target(self, target: float) -> "Observable":
         return Observable(self.terms, target=float(target))
@@ -144,11 +148,12 @@ def random_pauli_sum(
 
 
 def _check_inputs(dim: int, size: int, psi0, obs_matrix: np.ndarray) -> np.ndarray:
-    """Observable and input states (one (D,) or one per circuit (S, D), normalized) fit D."""
+    """Observable and input states fit D; states are one (D,) or P per circuit (S*P, D), normalized."""
     if obs_matrix.shape != (dim, dim):
         raise ValueError("observable and ansatz qubit counts differ")
     psi0 = np.asarray(psi0)
-    if psi0.shape not in ((dim,), (size, dim)):
+    rows = psi0.ndim == 2 and psi0.shape[1] == dim and len(psi0) > 0 and len(psi0) % size == 0
+    if psi0.shape != (dim,) and not rows:
         raise ValueError("state dimension does not match ansatz")
     norms = np.atleast_1d(np.linalg.norm(psi0, axis=-1))
     off = np.isfinite(norms) & (np.abs(norms - 1.0) > 1e-10)
@@ -158,17 +163,28 @@ def _check_inputs(dim: int, size: int, psi0, obs_matrix: np.ndarray) -> np.ndarr
 
 
 def _apply(w: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """W @ psi for every row of ``states``; W shared (D, D) or one per row (S, D, D)."""
+    """W @ psi for every row of ``states``; W shared (D, D) or one per circuit (S, D, D).
+
+    A stacked W serves the P consecutive rows of its circuit, viewed as (S, P, D).
+    """
     if w.ndim == 2:
         return np.dot(states, w.T)
-    return np.matmul(w, states[:, :, None])[:, :, 0]
+    size, dim = len(w), states.shape[1]
+    rows = states.reshape(size, -1, dim).swapaxes(1, 2)
+    return np.matmul(w, rows).swapaxes(1, 2).reshape(-1, dim)
 
 
 def _apply_transpose(w: np.ndarray, states: np.ndarray) -> np.ndarray:
     """W^T @ psi for every row of ``states`` (the backward pass runs on conjugates)."""
     if w.ndim == 2:
         return np.dot(states, w)
-    return np.matmul(states[:, None, :], w)[:, 0, :]
+    size, dim = len(w), states.shape[1]
+    return np.matmul(states.reshape(size, -1, dim), w).reshape(-1, dim)
+
+
+def _per_row(table: np.ndarray, points: int) -> np.ndarray:
+    """A per-circuit table (L, S, ...) repeated for each circuit's P rows; a shared (L, 1, ...) one as is."""
+    return table if table.shape[1] == 1 else np.repeat(table, points, axis=1)
 
 
 def forward_adjoint(
@@ -177,9 +193,10 @@ def forward_adjoint(
     """Outputs and exact angle derivatives of S circuits in one forward and one backward pass.
 
     ``theta`` has shape (L, S); ``psi0`` is one input state (D,) for all
-    circuits or one per circuit (S, D).  Returns the real expectations
-    <psi0_s|U_s' O U_s|psi0_s>, shape (S,), and their derivatives, shape
-    (S, L).  This is the adjoint method vectorized over the sample axis: the
+    circuits or P input states per circuit (S*P, D), circuit by circuit: the
+    rows of the batch.  Returns the real expectations <psi0_r|U_s' O U_s|psi0_r>
+    of every row r of circuit s, shape (S*P,), and their derivatives, shape
+    (S*P, L).  This is the adjoint method vectorized over the rows: the
     forward pass keeps each layer's state before its fixed unitary, the
     backward pass pulls O U|psi0> back through the layers.
     """
@@ -188,28 +205,32 @@ def forward_adjoint(
     if theta.shape != (layers, size):
         raise ValueError(f"expected angles of shape {(layers, size)}, got {theta.shape}")
     psi0 = _check_inputs(dim, size, psi0, obs_matrix)
+    points = len(psi0) // size if psi0.ndim == 2 else 1
+    rows = size * points
+    theta = np.repeat(theta, points, axis=1)
+    phases = _per_row(batch.phases, points)
 
-    # full (L, S, D) factors: per-layer products then need no broadcasting
+    # full (L, rows, D) factors: per-layer products then need no broadcasting
     cos = np.repeat(np.cos(theta)[:, :, None], dim, axis=2)
     isin = 1j * np.sin(theta)[:, :, None]
-    # generator gathers on the flattened (S, D) state array
-    gather = batch.perms + (np.arange(size) * dim)[:, None]
+    # generator gathers on the flattened (rows, D) state array
+    gather = _per_row(batch.perms, points) + (np.arange(rows) * dim)[:, None]
     # Forward: psi <- W (cos psi + i sin X psi), keeping the state before each
     # W.  Backward: lam = O U|psi0> pulled back layer by layer; as a row
     # vector its conjugate mu obeys mu <- cos (mu W) + i sin conj(X)(mu W),
     # which needs neither W^dagger nor a conjugation per layer.  The gathered
     # mu of every layer is kept for one vectorized gradient product at the end.
-    tilted = np.empty((layers, size, dim), dtype=complex)
-    gathered = np.empty((layers, size, dim), dtype=complex)
-    psi = np.array(np.broadcast_to(psi0, (size, dim)), dtype=complex)
-    for w, c, turn, index, out in zip(batch.fixed, cos, isin * batch.phases, gather, tilted):
+    tilted = np.empty((layers, rows, dim), dtype=complex)
+    gathered = np.empty((layers, rows, dim), dtype=complex)
+    psi = np.array(np.broadcast_to(psi0, (rows, dim)), dtype=complex)
+    for w, c, turn, index, out in zip(batch.fixed, cos, isin * phases, gather, tilted):
         np.multiply(c, psi, out=out)
         out += turn * psi.take(index)
         psi = _apply(w, out)
     lam = psi @ obs_matrix.T
     outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
     mu = lam.conj()
-    conj_phases = batch.phases.conj()
+    conj_phases = phases.conj()
     turns = isin * conj_phases
     for k in range(layers - 1, -1, -1):
         mu = _apply_transpose(batch.fixed[k], mu)
@@ -282,7 +303,7 @@ def hessian_residual(
 ) -> np.ndarray:
     """Exact symmetric L x L second-derivative matrix of the residual error."""
     theta = ansatz.check_parameters(theta)
-    psi0 = _check_inputs(ansatz.dim, 1, psi0, obs.matrix).reshape(-1)
+    psi0 = _check_inputs(ansatz.dim, 1, np.reshape(psi0, (1, -1)), obs.matrix)[0]
     layers = ansatz.num_layers
     if layers == 0:
         return np.empty((0, 0))

@@ -23,7 +23,6 @@ PAULI_1Q = {
 }
 
 UNITARY_ATOL = 1e-10
-HERMITIAN_ATOL = 1e-12
 
 # Byte budget of one stack of dense matrices: Haar draws are QR'd and checked
 # in blocks of at most this size, and ensembles are cut into chunks whose
@@ -253,10 +252,6 @@ def is_unitary(mat: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
         if not np.max(np.abs(block.conj().swapaxes(-1, -2) @ block - eye)) <= atol:
             return False
     return True
-
-
-def is_hermitian(mat: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= atol)
 
 
 def kahan_sum(values) -> float:

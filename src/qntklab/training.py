@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import AnsatzSpec, CircuitBatch, uniform_angles
-from .kernels import (
-    Observable,
-    SupervisedProblem,
-    forward_adjoint,
-    outputs_and_gradients,
-    qntk,
-)
+from .kernels import Observable, SupervisedProblem, forward_adjoint, qntk
 from .linalg import RngStream
 
 
@@ -101,53 +95,89 @@ def _divergence_message(step: int) -> str:
     return f"non-finite residual or parameters at step {step}; reduce the learning rate"
 
 
-def _guard_finite(step: int, eps: float, theta: np.ndarray):
-    if not np.isfinite(eps) or not np.all(np.isfinite(theta)):
-        raise TrainingDivergenceError(_divergence_message(step))
+def squared_loss(residuals: np.ndarray) -> np.ndarray:
+    """Half the sum of squared residuals over the last axis: the loss gradient descent lowers."""
+    return 0.5 * np.square(residuals).sum(axis=-1)
 
 
 def gd_batch(
     batch: CircuitBatch,
     obs_matrix: np.ndarray,
-    target: float,
+    target,
     psi0: np.ndarray,
     theta0: np.ndarray,
     learning_rate: float,
     steps: int,
     record_parameters: bool = False,
 ):
-    """Gradient descent on the squared residual of S circuits at once.
+    """Gradient descent of S circuits at once, each on the summed squared residual of its rows.
 
-    ``theta0`` has shape (S, L).  Every step is one engine call for all S
-    circuits.  Returns ``(errors, kernels, parameters, diverged)``: residuals
-    and kernels of shape (S, T+1), parameters (S, T+1, L) or None, and a dict
-    from the index of each circuit whose residual or parameters turned
-    non-finite to the message :func:`gd_optimize` raises for it alone.  A
-    diverged circuit keeps its row; rows never mix, so it cannot disturb the
+    ``theta0`` has shape (S, L).  ``psi0`` is one input state (D,) for all
+    circuits or P states per circuit (S*P, D), as in :func:`forward_adjoint`;
+    ``obs_matrix`` is one observable (D, D) or K of them (K, D, D), and
+    ``target`` broadcasts against the (S, P, K) outputs.  Every step is one
+    engine call per observable for all S*P rows.  Returns ``(residuals,
+    kernels, parameters, diverged)``: residuals of shape (S, T+1, P*K) in
+    data-major order, the trace of each circuit's supervised kernel (S, T+1),
+    parameters (S, T+1, L) or None, and a dict from the index of each circuit
+    whose loss or angles turned non-finite to the message
+    :func:`gd_optimize` raises for it alone.  A diverged circuit keeps its
+    rows; rows of different circuits never mix, so it cannot disturb the
     others.
     """
+    matrices = [obs_matrix] if np.ndim(obs_matrix) == 2 else list(obs_matrix)
     theta = np.array(theta0, dtype=float)
-    size = batch.size
-    errors = np.empty((size, steps + 1))
+    size, layers = batch.size, batch.num_layers
+    psi0 = np.asarray(psi0)
+    points = len(psi0) // size if psi0.ndim == 2 else 1
+    width = points * len(matrices)
+    outputs = np.empty((size * points, len(matrices)))
+    grads = np.empty((size * points, len(matrices), layers))
+    residuals = np.empty((size, steps + 1, width))
     kernels = np.empty((size, steps + 1))
-    params = np.empty((size, steps + 1, batch.num_layers)) if record_parameters else None
+    params = np.empty((size, steps + 1, layers)) if record_parameters else None
     diverged: dict[int, str] = {}
     # overflow is detected explicitly and reported as divergence, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps + 1):
-            outputs, grads = forward_adjoint(batch, theta.T, psi0, obs_matrix)
-            eps = outputs - target
-            finite = np.isfinite(eps) & np.all(np.isfinite(theta), axis=1)
+            for i, m in enumerate(matrices):
+                outputs[:, i], grads[:, i] = forward_adjoint(batch, theta.T, psi0, m)
+            # data-major rows per circuit: (point 1, observable 1), (point 1, observable 2), ...
+            eps = (outputs.reshape(size, points, -1) - target).reshape(size, width)
+            finite = np.isfinite(squared_loss(eps)) & np.isfinite(theta).all(axis=1)
             for s in np.flatnonzero(~finite):
                 diverged.setdefault(int(s), _divergence_message(t))
             if len(diverged) == size:
                 break
-            errors[:, t] = eps
-            kernels[:, t] = [qntk(g) for g in grads]
+            residuals[:, t] = eps
+            rows = grads.reshape(size * width, layers)
+            kernels[:, t] = np.reshape([qntk(g) for g in rows], (size, width)).sum(axis=1)
             if params is not None:
                 params[:, t] = theta
-            theta = theta - learning_rate * (eps[:, None] * grads)
-    return errors, kernels, params, diverged
+            theta = theta - learning_rate * (eps[:, :, None] * rows.reshape(size, width, layers)).sum(axis=1)
+    return residuals, kernels, params, diverged
+
+
+def _descend(ansatz: AnsatzSpec, cfg: TrainingConfig, obs_matrix, target, psi0):
+    """One circuit through :func:`gd_batch`; its divergence is raised."""
+    theta0 = _initial_angles(ansatz.num_layers, cfg)
+    residuals, kernels, params, diverged = gd_batch(
+        ansatz.batch(),
+        obs_matrix,
+        target,
+        psi0,
+        theta0[None, :],
+        cfg.learning_rate,
+        cfg.steps,
+        cfg.record_parameters,
+    )
+    if diverged:
+        raise TrainingDivergenceError(diverged[0])
+    return residuals[0], kernels[0], None if params is None else params[0]
+
+
+def _meta(mode: str, ansatz: AnsatzSpec, cfg: TrainingConfig) -> dict:
+    return {"mode": mode, "config": cfg.fingerprint(), "ansatz": ansatz.fingerprint(), "seed": cfg.seed}
 
 
 def gd_optimize(
@@ -159,30 +189,8 @@ def gd_optimize(
     for T update steps).  A start at exactly zero residual is a valid fixed
     point and yields a flat trajectory.
     """
-    theta0 = _initial_angles(ansatz.num_layers, cfg)
-    errors, kernels, params, diverged = gd_batch(
-        ansatz.batch(),
-        obs.matrix,
-        obs.target,
-        psi0,
-        theta0[None, :],
-        cfg.learning_rate,
-        cfg.steps,
-        cfg.record_parameters,
-    )
-    if diverged:
-        raise TrainingDivergenceError(diverged[0])
-    return Trajectory(
-        errors[0],
-        kernels[0],
-        parameters=None if params is None else params[0],
-        meta={
-            "mode": "single-target",
-            "config": cfg.fingerprint(),
-            "ansatz": ansatz.fingerprint(),
-            "seed": cfg.seed,
-        },
-    )
+    residuals, kernels, params = _descend(ansatz, cfg, obs.matrix, obs.target, psi0)
+    return Trajectory(residuals[:, 0], kernels, parameters=params, meta=_meta("single-target", ansatz, cfg))
 
 
 def gd_supervised(
@@ -192,50 +200,19 @@ def gd_supervised(
 
     ``errors`` records the total loss (which is not guaranteed monotone at
     finite learning rate); ``kernels`` the trace of the supervised kernel,
-    which reduces to the scalar kernel for one sample and one output.
+    which reduces to the scalar kernel for one sample and one output.  The
+    training points are the rows of one circuit in :func:`gd_batch`.
     """
-    theta = _initial_angles(ansatz.num_layers, cfg)
-    steps = cfg.steps
-    rows = prob.train_size * prob.num_outputs
-    losses = np.empty(steps + 1)
-    kernels = np.empty(steps + 1)
-    residuals = np.empty((steps + 1, rows))
-    params = np.empty((steps + 1, ansatz.num_layers)) if cfg.record_parameters else None
-    y = np.array(
-        [prob.labels[d, i] for d in prob.train_indices for i in range(prob.num_outputs)]
+    train = list(prob.train_indices)
+    residuals, kernels, params = _descend(
+        ansatz, cfg, [o.matrix for o in prob.observables], prob.labels[train], prob.features[train]
     )
-
-    def snapshot(t, theta):
-        z, grads = outputs_and_gradients(ansatz, theta, prob)
-        eps = z - y
-        losses[t] = 0.5 * float(eps @ eps)
-        # trace of the supervised kernel; reduces bit-exactly to the scalar
-        # kernel when there is a single (sample, output) row
-        kernels[t] = sum(qntk(g) for g in grads)
-        residuals[t] = eps
-        if params is not None:
-            params[t] = theta
-        return eps, grads
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            eps, grads = snapshot(t, theta)
-            _guard_finite(t, losses[t], theta)
-            total = grads.T @ eps
-            theta = theta - cfg.learning_rate * total
-        snapshot(steps, theta)
-        _guard_finite(steps, losses[steps], theta)
     return Trajectory(
-        losses,
+        squared_loss(residuals),
         kernels,
         parameters=params,
         residuals=residuals,
-        meta={
-            "mode": "supervised",
-            "config": cfg.fingerprint(),
-            "ansatz": ansatz.fingerprint(),
-            "seed": cfg.seed,
-        },
+        meta=_meta("supervised", ansatz, cfg),
     )
 
 
@@ -276,4 +253,5 @@ __all__ = [
     "gd_batch",
     "gd_optimize",
     "gd_supervised",
+    "squared_loss",
 ]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,11 @@ from qntklab.experiments import (
     run_experiment,
     validate_config,
 )
-from qntklab.circuits import chunk_grid, samples_per_chunk
+from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk, uniform_angles
+from qntklab.experiments import _LANE_TRIALS, _eigen_chunk
+from qntklab.kernels import SupervisedProblem, supervised_kernel
+from qntklab.linalg import RngStream
+from qntklab.training import TrainingConfig, gd_supervised
 from qntklab.cli import main as cli_main
 from qntklab.haar import MomentEstimate
 
@@ -187,6 +192,72 @@ def test_train_all_diverged_exit_code(tmp_path):
     assert run_experiment(cfg, tmp_path) == EXIT_ALL_DIVERGED
 
 
+def supervised_cfg(**overrides):
+    cfg = {
+        "kind": "train-supervised",
+        "qubits": 3,
+        "layers": 64,
+        "eta": 1e-3,
+        "steps": 12,
+        "trials": 5,
+        "train_size": 5,
+        "seed": 9,
+        "observable": {"kind": "random-pauli-sum", "num_terms": 10},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def scan_cfg(**overrides):
+    cfg = {
+        "kind": "eigen-scan",
+        "qubits": 3,
+        "layers": 64,
+        "trials": 5,
+        "train_sizes": [2, 6],
+        "seed": 9,
+        "observable": {"kind": "random-pauli-sum", "num_terms": 10},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_train_supervised_trials_match_the_library(tmp_path):
+    # 5 trials at n=3, L=64 run in chunks of 4 and 1
+    cfg = validate_config(supervised_cfg())
+    assert run_experiment(cfg, tmp_path) == EXIT_OK
+    obs = realize_observable(cfg)
+    labels = json.loads((tmp_path / "report.json").read_text())["labels"]
+    prob = SupervisedProblem.with_basis_features(3, np.array(labels), (obs,))
+    for k in range(cfg["trials"]):
+        stream = RngStream(cfg["seed"], (_LANE_TRIALS, k))
+        ansatz = build_random_ansatz(3, 64, stream)
+        tcfg = TrainingConfig(cfg["eta"], cfg["steps"], init_angles=uniform_angles(64, stream.substream(0)))
+        reference = gd_supervised(ansatz, prob, tcfg)
+        lines = (tmp_path / "trials" / f"trial_{k}.csv").read_text().splitlines()[2:]
+        table = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
+        assert np.max(np.abs(table[:, 0] / reference.errors - 1.0)) <= 1e-12
+        assert np.max(np.abs(table[:, 1] / reference.kernels - 1.0)) <= 1e-12
+
+
+def test_eigen_scan_trials_match_the_library(tmp_path):
+    cfg = validate_config(scan_cfg())
+    assert run_experiment(cfg, tmp_path) == EXIT_OK
+    obs = realize_observable(cfg)
+    for si, size in enumerate(cfg["train_sizes"]):
+        payload = {"cfg": cfg, "observable": obs, "train_size": size, "size_index": si}
+        chunked = _eigen_chunk(payload, 0, cfg["trials"])
+        prob = SupervisedProblem.with_basis_features(3, np.zeros(size), (obs,))
+        lines = (tmp_path / "trials" / f"trial_{si}.csv").read_text().splitlines()[2:]
+        for k, (lowest, kernel) in enumerate(chunked):
+            stream = RngStream(cfg["seed"], (_LANE_TRIALS, si, k))
+            ansatz = build_random_ansatz(3, 64, stream)
+            reference = supervised_kernel(ansatz, uniform_angles(64, stream.substream(0)), prob)
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(kernel - reference)) <= 1e-12 * scale
+            assert abs(float(lines[k].split(",")[1]) - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
+
+
 def test_train_supervised_runs_and_loss_drops(tmp_path):
     cfg = validate_config(
         {
@@ -332,7 +403,10 @@ def test_chunked_outputs_byte_identical_across_threads(tmp_path):
     assert len(chunk_grid(40, 4, 64)) > 1 and 40 % samples_per_chunk(4, 64) != 0
     train = validate_config(train_cfg(qubits=3, layers=64, steps=15, trials=6))
     assert len(chunk_grid(6, 8, 64)) > 1 and 6 % samples_per_chunk(8, 64) != 0
-    for name, cfg in (("stats", stats), ("train", train)):
+    supervised = validate_config(supervised_cfg(trials=6))
+    scan = validate_config(scan_cfg(trials=6))
+    runs = (("stats", stats), ("train", train), ("supervised", supervised), ("scan", scan))
+    for name, cfg in runs:
         trees = []
         for threads in (1, 2, 3):
             out = tmp_path / f"{name}_{threads}"
@@ -365,3 +439,48 @@ def test_pauli_sum_width_must_match_qubits(tmp_path):
     assert cli_main(["qntk-stats", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     path.write_text(json.dumps(haar))
     assert cli_main(["haar-check", "--config", str(path), "--out", str(tmp_path / "h")]) == 1
+
+
+_ZZ = {"kind": "pauli-sum", "terms": [[1.0, "ZZ"]]}
+_RANDOM = {"kind": "random-pauli-sum"}
+_QNTK = {"kind": "qntk-stats", "qubits": 2, "layers": [4], "samples": 3, "seed": 1, "observable": _ZZ}
+_TRAIN = {
+    "kind": "train", "qubits": 2, "layers": 4, "eta": 1e-3, "steps": 3, "trials": 1, "seed": 1,
+    "observable": _ZZ,
+}
+_SCAN = {"kind": "eigen-scan", "qubits": 2, "layers": 4, "trials": 1, "train_sizes": [2], "seed": 1,
+         "observable": _ZZ}
+_HAAR = {"kind": "haar-check", "qubits": [1], "samples": 10, "seed": 1}
+_NAN = float("nan")
+
+
+_BAD_VALUES = [
+    (_QNTK, {"threads": True}, "threads"),
+    (_QNTK, {"layers": [True]}, "layers[0]"),
+    (_QNTK, {"layers": []}, "layers"),
+    (_QNTK, {"qubits": True}, "qubits"),
+    (_QNTK, {"observable": dict(_RANDOM, num_terms=True)}, "observable.num_terms"),
+    (_QNTK, {"observable": dict(_ZZ, terms=[[_NAN, "ZZ"]])}, "observable.terms[0]"),
+    (_QNTK, {"observable": dict(_ZZ, terms=[[True, "ZZ"]])}, "observable.terms[0]"),
+    (_QNTK, {"observable": dict(_RANDOM, coeff_low=_NAN)}, "observable.coeff_low"),
+    (_QNTK, {"observable": dict(_RANDOM, coeff_high=float("inf"))}, "observable.coeff_high"),
+    (_QNTK, {"observable": dict(_ZZ, target=_NAN)}, "observable.target"),
+    (_TRAIN, {"eta": _NAN}, "eta"),
+    (_TRAIN, {"eta": 10**400}, "eta"),
+    (_TRAIN, {"burn_in": True}, "burn_in"),
+    (_TRAIN, {"floor": _NAN}, "floor"),
+    (_SCAN, {"train_sizes": [2, True]}, "train_sizes[1]"),
+    (_HAAR, {"qubits": [1, True]}, "qubits[1]"),
+]
+
+
+@pytest.mark.parametrize("base, override, key", _BAD_VALUES, ids=[case[2] for case in _BAD_VALUES])
+def test_non_finite_and_boolean_values_are_config_errors(tmp_path, capsys, base, override, key):
+    raw = dict(base, **override)
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{key}'")):
+        validate_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([raw["kind"], "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err and "Traceback" not in err

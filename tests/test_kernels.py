@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,20 @@ def test_observable_trace_powers():
     for k in (1, 2, 3, 4, 6):
         direct = np.trace(np.linalg.matrix_power(mat, k)).real
         assert obs.trace_power(k) == pytest.approx(direct, abs=1e-10)
+
+
+def test_observable_is_frozen_and_caches_outside_its_fields():
+    # a cache passed to the constructor used to be trusted: trace_power(2) gave 0
+    with pytest.raises(TypeError):
+        Observable(((1.0, PauliString("ZZ")),), _matrix=np.zeros((4, 4)))
+    obs = Observable(((1.0, PauliString("ZZ")),))
+    assert obs.trace_power(2) == 4.0
+    # reassigning the terms after a matrix read used to leave the old matrix
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obs.terms = ((1.0, PauliString("XX")),)
+    assert np.array_equal(obs.matrix, pauli_matrix("ZZ"))
+    with pytest.raises(ValueError, match="finite"):
+        Observable(((float("nan"), PauliString("ZZ")),))
 
 
 def test_observable_coefficients_in_range():
@@ -278,10 +294,12 @@ def test_unnormalized_state_rejected():
         residual_error(ansatz, np.zeros(3), ZZ, 2.0 * zero_state(2))
 
 
-def test_mixed_engine_call_matches_single_circuit_oracle():
+@pytest.mark.parametrize("points", [1, 3])
+def test_mixed_engine_call_matches_single_circuit_oracle(points):
     # layers 1 and 3 carry one Haar matrix per circuit, layer 2 one Haar
     # matrix shared by all, layer 4 the shared CNOT chain; every circuit has
-    # its own generators, angles and input state
+    # its own generators and angles, and serves `points` rows, each with its
+    # own input state
     n, size, layers = 2, 5, 4
     dim = 1 << n
     rng = RngStream(31)
@@ -293,16 +311,17 @@ def test_mixed_engine_call_matches_single_circuit_oracle():
     phases = np.array([[actions[s][k][1] for s in range(size)] for k in range(layers)])
     batch = CircuitBatch(n, size, fixed, perms, phases)
     theta = rng.substream(2).generator.uniform(0.0, 2.0 * np.pi, size=(layers, size))
-    states = rng.substream(3).generator.standard_normal((size, dim, 2)) @ np.array([1.0, 1.0j])
+    states = rng.substream(3).generator.standard_normal((size * points, dim, 2)) @ np.array([1.0, 1.0j])
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     obs = random_pauli_sum(n, 10, rng.substream(4))
     outputs, grads = forward_adjoint(batch, theta, states, obs.matrix)
-    assert outputs.shape == (size,) and grads.shape == (size, layers)
-    for s in range(size):
+    assert outputs.shape == (size * points,) and grads.shape == (size * points, layers)
+    for r in range(size * points):
+        s = r // points
         per_layer = [w if w.ndim == 2 else w[s] for w in fixed]
-        value, grad = dense_output_and_gradient(letters[s], per_layer, theta[:, s], states[s], obs.matrix)
-        assert abs(outputs[s] - value) <= 1e-12
-        assert np.max(np.abs(grads[s] - grad)) <= 1e-12
+        value, grad = dense_output_and_gradient(letters[s], per_layer, theta[:, s], states[r], obs.matrix)
+        assert abs(outputs[r] - value) <= 1e-12
+        assert np.max(np.abs(grads[r] - grad)) <= 1e-12
 
 
 def test_engine_rejects_unnormalized_row():

@@ -234,7 +234,7 @@ def test_batched_divergence_matches_solo_runs():
         assert np.array_equal(errors[k], healthy[0][k])
         assert np.array_equal(kernels[k], healthy[1][k])
         reference = solo(k, theta0[k], obs)
-        assert np.max(np.abs(errors[k] - reference.errors)) <= 1e-12
+        assert np.max(np.abs(errors[k, :, 0] - reference.errors)) <= 1e-12
 
     # divergence during the run: every trial overflows, each at its own step
     huge = Observable(((1e160, PauliString("ZZ")), (1e160, PauliString("XI"))))
@@ -245,3 +245,36 @@ def test_batched_divergence_matches_solo_runs():
             cfg = TrainingConfig(learning_rate=1.0, steps=30, init_angles=theta0[k])
             gd_optimize(build_random_ansatz(2, 6, RngStream(12, (k,))), huge, psi, cfg)
         assert diverged[k] == str(alone.value)
+
+
+def test_batched_supervised_rows_match_solo_runs_and_divergence():
+    # three circuits with their own Haar layers, three basis points each, two
+    # observables: 6 rows per circuit; trial 1 starts at a non-finite angle
+    streams = [RngStream(14, (k,)) for k in range(3)]
+    batch = sample_random_circuits(2, 6, streams)
+    theta0 = ensemble_angles(6, streams).T
+    observables = (random_pauli_sum(2, 10, RngStream(15)), Observable(((1.0, PauliString("ZI")),)))
+    labels = np.array([[1.0, -0.5], [-1.0, 0.25], [1.0, 0.0]])
+    prob = SupervisedProblem.with_basis_features(2, labels, observables)
+    matrices = [o.matrix for o in observables]
+    psi0 = np.tile(prob.features, (3, 1))
+
+    def solo(k, init):
+        cfg = TrainingConfig(learning_rate=1e-2, steps=30, init_angles=init)
+        return gd_supervised(build_random_ansatz(2, 6, RngStream(14, (k,))), prob, cfg)
+
+    healthy = gd_batch(batch, matrices, labels, psi0, theta0, 1e-2, 30)
+    assert healthy[0].shape == (3, 31, 6) and healthy[3] == {}
+    poisoned = theta0.copy()
+    poisoned[1, 4] = np.nan
+    residuals, kernels, _, diverged = gd_batch(batch, matrices, labels, psi0, poisoned, 1e-2, 30)
+    with pytest.raises(TrainingDivergenceError) as alone:
+        solo(1, poisoned[1])
+    assert diverged == {1: str(alone.value)}
+    for k in (0, 2):
+        assert np.array_equal(residuals[k], healthy[0][k])
+        assert np.array_equal(kernels[k], healthy[1][k])
+        reference = solo(k, theta0[k])
+        scale = np.max(np.abs(reference.residuals))
+        assert np.max(np.abs(residuals[k] - reference.residuals)) <= 1e-12 * scale
+        assert np.max(np.abs(kernels[k] / reference.kernels - 1.0)) <= 1e-12
