@@ -4,9 +4,6 @@ from .circuits import (
     AnsatzSpec,
     build_hardware_efficient,
     build_random_ansatz,
-    circuit_unitary,
-    evolve_state,
-    prefix_suffix,
     uniform_angles,
     y_tilted_state,
 )
@@ -30,7 +27,6 @@ from .linalg import (
     basis_state,
     haar_unitary,
     pauli_matrix,
-    pauli_rotation,
     sample_pauli,
     zero_state,
 )
@@ -60,8 +56,6 @@ __all__ = [
     "basis_state",
     "build_hardware_efficient",
     "build_random_ansatz",
-    "circuit_unitary",
-    "evolve_state",
     "fit_decay_rate",
     "gd_optimize",
     "gd_supervised",
@@ -74,8 +68,6 @@ __all__ = [
     "meta_kernel",
     "model_output",
     "pauli_matrix",
-    "pauli_rotation",
-    "prefix_suffix",
     "qntk",
     "random_pauli_sum",
     "residual_error",

@@ -5,8 +5,11 @@ Pauli exponentials,
 
     U(theta) = W_L exp(i theta_L X_L) ... W_1 exp(i theta_1 X_1),
 
-with layer 1 applied to the state first.  Prefix/suffix factorizations of this
-product are what the analytic gradient and Hessian formulas consume.
+with layer 1 applied to the state first.  :class:`AnsatzSpec` describes one
+validated circuit; :class:`CircuitBatch` lays S of them out for the batched
+engine (``kernels.forward_adjoint``), which is the only code that evaluates
+the product.  Random-Haar ensembles are sampled straight into a batch by
+:func:`sample_random_circuits`.
 """
 
 from __future__ import annotations
@@ -26,14 +29,8 @@ from .linalg import (
     is_unitary,
     matrices_per_block,
     pauli_code,
-    pauli_rotation,
-    rotate_state,
     zero_state,
 )
-
-FAMILY_RANDOM = "random-haar"
-FAMILY_CPHASE = "hardware-efficient-cphase"
-FAMILY_CNOT = "hardware-efficient-cnot"
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,6 @@ class AnsatzSpec:
     num_qubits: int
     generators: tuple[PauliString, ...]
     fixed_unitaries: tuple[np.ndarray, ...] = field(repr=False)
-    family: str = FAMILY_RANDOM
 
     def __post_init__(self):
         if len(self.generators) != len(self.fixed_unitaries):
@@ -85,17 +81,6 @@ class AnsatzSpec:
     def batch(self, size: int = 1) -> "CircuitBatch":
         """This circuit repeated ``size`` times, sharing every layer."""
         return CircuitBatch.from_specs([self] * size)
-
-    def fingerprint(self) -> str:
-        """Short content hash (generator letters + fixed-unitary bytes)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.family.encode())
-        for g, w in zip(self.generators, self.fixed_unitaries):
-            h.update(g.letters.encode())
-            h.update(np.ascontiguousarray(w).tobytes())
-        return h.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -236,7 +221,7 @@ def build_random_ansatz(
     """
     codes, stack = _draw_random_layers(n, layers, [rng], exclude_identity)
     gens = tuple(PauliString(code_letters(n, int(c))) for c in codes[0])
-    return AnsatzSpec(n, gens, tuple(stack[0]), family=FAMILY_RANDOM)
+    return AnsatzSpec(n, gens, tuple(stack[0]))
 
 
 def _single_qubit_string(n: int, qubit: int, letter: str) -> PauliString:
@@ -299,7 +284,6 @@ def build_hardware_efficient(
             for q in range(n - 1):
                 gens.append(_two_qubit_string(n, q, q + 1, "Z"))
                 fixed.append(eye)
-        family = FAMILY_CPHASE
     elif variant == "cnot-su2":
         chain = cnot_chain(n)
         for _ in range(depth):
@@ -308,53 +292,9 @@ def build_hardware_efficient(
                     gens.append(_single_qubit_string(n, q, axis))
                     fixed.append(eye)
             fixed[-1] = chain
-        family = FAMILY_CNOT
     else:
         raise ValueError(f"unknown hardware-efficient variant {variant!r}")
-    return AnsatzSpec(n, tuple(gens), tuple(fixed), family=family)
-
-
-def circuit_unitary(ansatz: AnsatzSpec, theta: np.ndarray) -> np.ndarray:
-    """Dense U(theta); layer 1 is the rightmost factor (applied first)."""
-    theta = ansatz.check_parameters(theta)
-    u = np.eye(ansatz.dim, dtype=complex)
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        u = w @ (pauli_rotation(gen, t) @ u)
-    return u
-
-
-def prefix_suffix(
-    ansatz: AnsatzSpec, theta: np.ndarray, ell: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split U(theta) = suffix @ prefix at layer ``ell`` (1-based).
-
-    The prefix covers layers 1..ell inclusive (the rotation of layer ell is
-    inside the prefix); the suffix covers layers ell+1..L.
-    """
-    theta = ansatz.check_parameters(theta)
-    if not 1 <= ell <= ansatz.num_layers:
-        raise IndexError(f"layer index {ell} out of range 1..{ansatz.num_layers}")
-    dim = ansatz.dim
-    prefix = np.eye(dim, dtype=complex)
-    suffix = np.eye(dim, dtype=complex)
-    for k in range(ansatz.num_layers):
-        gate = ansatz.fixed_unitaries[k] @ pauli_rotation(ansatz.generators[k], theta[k])
-        if k < ell:
-            prefix = gate @ prefix
-        else:
-            suffix = gate @ suffix
-    return prefix, suffix
-
-
-def evolve_state(ansatz: AnsatzSpec, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply U(theta) to a state layer by layer (no dense circuit matrix)."""
-    theta = ansatz.check_parameters(theta)
-    if psi.shape != (ansatz.dim,):
-        raise ValueError("state dimension does not match ansatz")
-    out = psi
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        out = w @ rotate_state(gen, t, out)
-    return out
+    return AnsatzSpec(n, tuple(gens), tuple(fixed))
 
 
 def y_tilted_state(n: int, angle: float = np.pi / 8) -> np.ndarray:
@@ -379,17 +319,11 @@ def ensemble_angles(layers: int, streams) -> np.ndarray:
 __all__ = [
     "AnsatzSpec",
     "CircuitBatch",
-    "FAMILY_CNOT",
-    "FAMILY_CPHASE",
-    "FAMILY_RANDOM",
     "build_hardware_efficient",
     "build_random_ansatz",
     "chunk_grid",
-    "circuit_unitary",
     "cnot_chain",
     "ensemble_angles",
-    "evolve_state",
-    "prefix_suffix",
     "sample_random_circuits",
     "samples_per_chunk",
     "uniform_angles",

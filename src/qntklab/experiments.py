@@ -784,15 +784,29 @@ def run_decay_fit(cfg: dict, out_dir: Path) -> int:
 
 
 def _read_residual_column(path: Path) -> np.ndarray:
-    lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
-    header = lines[0].split(",")
-    for name in ("residual", "loss"):
-        if name in header:
-            col = header.index(name)
-            break
-    else:
-        col = 1
-    return np.array([float(ln.split(",")[col]) for ln in lines[1:]])
+    """The ``residual`` (else ``loss``, else second) column of a trial CSV.
+
+    A file without a header line, or a row without a number in that column,
+    is a config error naming the file and the line.
+    """
+    lines = [
+        (number, line)
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if line and not line.startswith("#")
+    ]
+    if not lines:
+        raise ConfigError(f"config key 'input': {path}: no header line")
+    header = lines[0][1].split(",")
+    col = next((header.index(name) for name in ("residual", "loss") if name in header), 1)
+    values = []
+    for number, line in lines[1:]:
+        try:
+            values.append(float(line.split(",")[col]))
+        except (IndexError, ValueError):
+            raise ConfigError(
+                f"config key 'input': {path} line {number}: no number in column {col + 1}"
+            ) from None
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------

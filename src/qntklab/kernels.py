@@ -9,17 +9,20 @@ where ``psi_ell`` is the state propagated through layers 1..ell, ``Xhat_ell``
 is the generator conjugated by its own fixed unitary, and ``Otilde_ell`` is
 the observable pulled back through the remaining layers.  One forward pass and
 one backward pass give all L components exactly; no parameter-shift evaluations
-or finite differences are involved (those exist only as test oracles).  The
+of outputs or finite differences are involved (those exist only as test oracles).  The
 passes run over a leading row axis (:func:`forward_adjoint`): a chunk of S
 circuits, each with P input states, costs one pass of S*P-row array
 operations per layer; a single circuit with one input is the chunk S=P=1.
+:func:`forward_adjoint` is the only place a circuit is evaluated layer by layer.
 
-The second derivative is the nested commutator
+The second derivative is the shift rule applied to these exact gradients.
+With a Pauli generator every gradient component has the form
+A + B cos 2 theta_a + C sin 2 theta_a in each angle theta_a, so
 
-    d^2 eps / d theta_a d theta_b = -<psi0| [Y_a, [Y_b, M]] |psi0>,  a <= b,
+    d^2 eps / d theta_a d theta_b = g_b(theta + pi/4 e_a) - g_b(theta - pi/4 e_a)
 
-with ``Y_l`` the generator of layer l conjugated backward to the input frame
-and ``M`` the fully Heisenberg-evolved observable.
+holds exactly (it is not a finite difference), and the whole L x L Hessian is
+one engine call over 2L shifted copies of the circuit.
 """
 
 from __future__ import annotations
@@ -111,19 +114,11 @@ class Observable:
         with np.errstate(over="ignore"):
             return float(np.sum(cache["_eigenvalues"] ** k))
 
-    def with_target(self, target: float) -> "Observable":
-        return Observable(self.terms, target=float(target))
-
     def as_dict(self) -> dict:
         return {
             "terms": [[c, p.letters] for c, p in self.terms],
             "target": self.target,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Observable":
-        terms = tuple((float(c), PauliString(s)) for c, s in data["terms"])
-        return cls(terms, target=float(data.get("target", 0.0)))
 
 
 def random_pauli_sum(
@@ -286,34 +281,24 @@ def ensemble_kernels(
     return np.array([qntk(g) for g in grads])
 
 
-def _backpropagated_generators(ansatz: AnsatzSpec, theta: np.ndarray):
-    """Y_l = C_{l-1}^dag X_l C_{l-1} for all layers, plus the full circuit C_L."""
-    dim = ansatz.dim
-    c = np.eye(dim, dtype=complex)
-    ys = []
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        xc = gen.apply(c)
-        ys.append(c.conj().T @ xc)
-        c = w @ (np.cos(t) * c + 1j * np.sin(t) * xc)
-    return ys, c
-
-
 def hessian_residual(
     ansatz: AnsatzSpec, theta: np.ndarray, obs: Observable, psi0: np.ndarray
 ) -> np.ndarray:
-    """Exact symmetric L x L second-derivative matrix of the residual error."""
+    """Exact symmetric L x L second-derivative matrix of the residual error.
+
+    Row a is the shift rule g(theta + pi/4 e_a) - g(theta - pi/4 e_a) on exact
+    adjoint gradients (see the module docstring), from one engine call on 2L
+    copies of the circuit; the upper triangle is mirrored.
+    """
     theta = ansatz.check_parameters(theta)
     psi0 = _check_inputs(ansatz.dim, 1, np.reshape(psi0, (1, -1)), obs.matrix)[0]
     layers = ansatz.num_layers
     if layers == 0:
         return np.empty((0, 0))
-    ys, circuit = _backpropagated_generators(ansatz, theta)
-    heis = circuit.conj().T @ (obs.matrix @ circuit)
-    m_psi = heis @ psi0
-    y_psi = np.stack([y @ psi0 for y in ys])
-    # u_b = [Y_b, M] |psi0>
-    u = np.stack([ys[b] @ m_psi - heis @ y_psi[b] for b in range(layers)])
-    pair = -2.0 * np.real(y_psi.conj() @ u.T)
+    shifts = (np.pi / 4) * np.eye(layers)
+    angles = theta[:, None] + np.concatenate([shifts, -shifts], axis=1)
+    _, grads = forward_adjoint(ansatz.batch(2 * layers), angles, psi0, obs.matrix)
+    pair = grads[:layers] - grads[layers:]
     return np.triu(pair) + np.triu(pair, 1).T
 
 
@@ -392,27 +377,27 @@ def outputs_and_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Model outputs z and the (rows x L) matrix of their exact derivatives.
 
-    One engine call per observable covers a block of training points.  The
-    engine keeps (L, points, D) state arrays, so a block holds as many points
-    as fit those in STACK_BYTES: all of them for small circuits, one at a
-    time for wide and deep ones.
+    One engine call per observable covers a block of training points as the
+    rows of the one circuit (S=1, P points).  The engine keeps (L, points, D)
+    state arrays, so a block holds as many points as fit those in
+    STACK_BYTES: all of them for small circuits, one at a time for wide and
+    deep ones.
     """
     theta = ansatz.check_parameters(theta)
     feats = prob.features[list(prob.train_indices)]
     points = len(feats)
     step = max(1, STACK_BYTES // (max(ansatz.num_layers, 1) * ansatz.dim * 16))
+    rows = points * prob.num_outputs
     z = np.empty((points, prob.num_outputs))
     grads = np.empty((points, prob.num_outputs, ansatz.num_layers))
+    batch = ansatz.batch()
     for lo in range(0, points, step):
-        block = feats[lo : lo + step]
-        batch = ansatz.batch(len(block))
-        angles = np.repeat(theta[:, None], len(block), axis=1)
         for i, obs in enumerate(prob.observables):
             z[lo : lo + step, i], grads[lo : lo + step, i] = forward_adjoint(
-                batch, angles, block, obs.matrix
+                batch, theta[:, None], feats[lo : lo + step], obs.matrix
             )
     # data-major rows: (d_1, i_1), (d_1, i_2), ..., (d_2, i_1), ...
-    return z.reshape(-1), grads.reshape(-1, ansatz.num_layers)
+    return z.reshape(rows), grads.reshape(rows, ansatz.num_layers)
 
 
 def supervised_kernel(

@@ -1,9 +1,9 @@
 """Dense complex linear algebra, Pauli-string algebra, and seeded random sampling.
 
 Everything downstream (circuits, kernels, Monte-Carlo oracles) is built on the
-primitives here: Kronecker-product Pauli operators, involution-exploiting Pauli
-rotations, Haar-distributed unitaries, and reproducible random streams keyed by
-a (master seed, stream index) pair.
+primitives here: Kronecker-product Pauli operators and their O(D)
+permutation-and-phase action, Haar-distributed unitaries, and reproducible
+random streams keyed by a (master seed, stream index) pair.
 """
 
 from __future__ import annotations
@@ -125,9 +125,6 @@ class PauliString:
             return coef * arr[perm]
         return coef[:, None] * arr[perm, :]
 
-    def expectation(self, psi: np.ndarray) -> float:
-        return float(np.real(np.vdot(psi, self.apply(psi))))
-
     def __str__(self):
         return self.letters
 
@@ -139,18 +136,6 @@ def pauli_matrix(p: PauliString | str) -> np.ndarray:
     for letter in letters[1:]:
         out = np.kron(out, PAULI_1Q[letter])
     return out
-
-
-def pauli_rotation(p: PauliString | str, theta: float) -> np.ndarray:
-    """exp(i*theta*P) = cos(theta) I + i sin(theta) P, using P^2 = I."""
-    mat = pauli_matrix(p)
-    dim = mat.shape[0]
-    return np.cos(theta) * np.eye(dim, dtype=complex) + 1j * np.sin(theta) * mat
-
-
-def rotate_state(p: PauliString, theta: float, psi: np.ndarray) -> np.ndarray:
-    """exp(i*theta*P) applied to a state without forming the dense matrix."""
-    return np.cos(theta) * psi + 1j * np.sin(theta) * p.apply(psi)
 
 
 def matrices_per_block(dim: int) -> int:

@@ -6,9 +6,7 @@ for the vanilla update and momentum-style optimizers would void them.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +42,6 @@ class TrainingConfig:
         if self.init_angles is not None:
             self.init_angles = np.asarray(self.init_angles, dtype=float)
 
-    def fingerprint(self) -> str:
-        payload = {
-            "learning_rate": self.learning_rate,
-            "steps": self.steps,
-            "seed": self.seed,
-            "init_angles": None if self.init_angles is None else self.init_angles.tolist(),
-            "record_parameters": self.record_parameters,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
-
 
 @dataclass
 class Trajectory:
@@ -69,7 +57,6 @@ class Trajectory:
     kernels: np.ndarray
     parameters: np.ndarray | None = None
     residuals: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.errors = np.asarray(self.errors, dtype=float)
@@ -176,10 +163,6 @@ def _descend(ansatz: AnsatzSpec, cfg: TrainingConfig, obs_matrix, target, psi0):
     return residuals[0], kernels[0], None if params is None else params[0]
 
 
-def _meta(mode: str, ansatz: AnsatzSpec, cfg: TrainingConfig) -> dict:
-    return {"mode": mode, "config": cfg.fingerprint(), "ansatz": ansatz.fingerprint(), "seed": cfg.seed}
-
-
 def gd_optimize(
     ansatz: AnsatzSpec, obs: Observable, psi0: np.ndarray, cfg: TrainingConfig
 ) -> Trajectory:
@@ -190,7 +173,7 @@ def gd_optimize(
     point and yields a flat trajectory.
     """
     residuals, kernels, params = _descend(ansatz, cfg, obs.matrix, obs.target, psi0)
-    return Trajectory(residuals[:, 0], kernels, parameters=params, meta=_meta("single-target", ansatz, cfg))
+    return Trajectory(residuals[:, 0], kernels, parameters=params)
 
 
 def gd_supervised(
@@ -207,13 +190,7 @@ def gd_supervised(
     residuals, kernels, params = _descend(
         ansatz, cfg, [o.matrix for o in prob.observables], prob.labels[train], prob.features[train]
     )
-    return Trajectory(
-        squared_loss(residuals),
-        kernels,
-        parameters=params,
-        residuals=residuals,
-        meta=_meta("supervised", ansatz, cfg),
-    )
+    return Trajectory(squared_loss(residuals), kernels, parameters=params, residuals=residuals)
 
 
 def fit_decay_rate(

@@ -3,14 +3,69 @@
 These deliberately avoid the library's fast paths: the matrix exponential is
 built from an eigendecomposition, gradients and Hessians from central finite
 differences of the scalar residual, and the parameter-shift rule from shifted
-full evaluations.  They are the "second route" every exact formula is checked
-against.
+full evaluations.  The dense single-circuit paths (the circuit matrix, its
+prefix/suffix split, and layer-by-layer state evolution) live here too; the
+library evaluates circuits only in its batched engine.  They are the "second
+route" every exact formula is checked against.
 """
 
 import numpy as np
 
 from qntklab import residual_error
-from qntklab.linalg import pauli_matrix
+from qntklab.linalg import PauliString, pauli_matrix
+
+
+def pauli_rotation(p: PauliString | str, theta: float) -> np.ndarray:
+    """exp(i*theta*P) = cos(theta) I + i sin(theta) P, using P^2 = I."""
+    mat = pauli_matrix(p)
+    dim = mat.shape[0]
+    return np.cos(theta) * np.eye(dim, dtype=complex) + 1j * np.sin(theta) * mat
+
+
+def rotate_state(p: PauliString, theta: float, psi: np.ndarray) -> np.ndarray:
+    """exp(i*theta*P) applied to a state without forming the dense matrix."""
+    return np.cos(theta) * psi + 1j * np.sin(theta) * p.apply(psi)
+
+
+def circuit_unitary(ansatz, theta: np.ndarray) -> np.ndarray:
+    """Dense U(theta); layer 1 is the rightmost factor (applied first)."""
+    theta = ansatz.check_parameters(theta)
+    u = np.eye(ansatz.dim, dtype=complex)
+    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
+        u = w @ (pauli_rotation(gen, t) @ u)
+    return u
+
+
+def prefix_suffix(ansatz, theta: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split U(theta) = suffix @ prefix at layer ``ell`` (1-based).
+
+    The prefix covers layers 1..ell inclusive (the rotation of layer ell is
+    inside the prefix); the suffix covers layers ell+1..L.
+    """
+    theta = ansatz.check_parameters(theta)
+    if not 1 <= ell <= ansatz.num_layers:
+        raise IndexError(f"layer index {ell} out of range 1..{ansatz.num_layers}")
+    dim = ansatz.dim
+    prefix = np.eye(dim, dtype=complex)
+    suffix = np.eye(dim, dtype=complex)
+    for k in range(ansatz.num_layers):
+        gate = ansatz.fixed_unitaries[k] @ pauli_rotation(ansatz.generators[k], theta[k])
+        if k < ell:
+            prefix = gate @ prefix
+        else:
+            suffix = gate @ suffix
+    return prefix, suffix
+
+
+def evolve_state(ansatz, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Apply U(theta) to a state layer by layer (no dense circuit matrix)."""
+    theta = ansatz.check_parameters(theta)
+    if psi.shape != (ansatz.dim,):
+        raise ValueError("state dimension does not match ansatz")
+    out = psi
+    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
+        out = w @ rotate_state(gen, t, out)
+    return out
 
 
 def expm_i_theta(mat: np.ndarray, theta: float) -> np.ndarray:

@@ -17,25 +17,25 @@ from qntklab import (
     PauliString,
     RngStream,
     SupervisedProblem,
-    TrainingConfig,
     build_random_ansatz,
     fit_decay_rate,
-    gd_optimize,
     gradient,
     hessian_residual,
     mc_commutator_trace,
     mc_kbar,
     mc_second_moment,
     meta_kernel,
-    qntk,
     random_pauli_sum,
     supervised_kernel,
     uniform_angles,
     zero_state,
 )
+from qntklab.circuits import chunk_grid, ensemble_angles, sample_random_circuits
 from qntklab.experiments import run_experiment, validate_config
+from qntklab.kernels import ensemble_kernels
 from qntklab.linalg import pauli_matrix
 from qntklab.theory import kbar_exact, kernel_eigenvalues
+from qntklab.training import gd_batch
 
 from helpers import fd_gradient, fd_hessian, gradient_close
 
@@ -104,11 +104,11 @@ def test_criterion_3_concentration_scaling():
     ratios = []
     for li, layers in enumerate(layer_grid):
         values = np.empty(samples)
-        for s in range(samples):
-            sub = RngStream(3302, (li, s))
-            ansatz = build_random_ansatz(2, layers, sub)
-            theta = uniform_angles(layers, sub.substream(0))
-            values[s] = qntk(gradient(ansatz, theta, obs, psi))
+        # circuit s from stream (li, s), its angles from that stream's substream 0
+        for lo, hi in chunk_grid(samples, 4, layers):
+            streams = [RngStream(3302, (li, s)) for s in range(lo, hi)]
+            batch = sample_random_circuits(2, layers, streams)
+            values[lo:hi] = ensemble_kernels(batch, streams, obs.matrix, psi)
         ratios.append(values.std(ddof=1) / values.mean())
     slope = float(np.polyfit(np.log(layer_grid), np.log(ratios), 1)[0])
     elapsed = time.perf_counter() - start
@@ -129,16 +129,17 @@ def _decay_protocol(seed: int):
     psi = zero_state(2)
     target = eta * kbar_exact(4, layers, obs.trace_power(2), obs.trace_power(1))
     rates, fits = [], []
-    for t in range(trials):
-        sub = rng.substream(t)
-        ansatz = build_random_ansatz(2, layers, sub)
-        cfg = TrainingConfig(
-            learning_rate=eta, steps=steps, init_angles=uniform_angles(layers, sub.substream(0))
-        )
-        traj = gd_optimize(ansatz, obs, psi, cfg)
-        rate, r2 = fit_decay_rate(traj)
-        rates.append(rate)
-        fits.append(r2)
+    # trial t from stream t, its initial angles from that stream's substream 0
+    for lo, hi in chunk_grid(trials, 4, layers):
+        streams = [rng.substream(t) for t in range(lo, hi)]
+        batch = sample_random_circuits(2, layers, streams)
+        theta0 = ensemble_angles(layers, streams).T
+        residuals, _, _, diverged = gd_batch(batch, obs.matrix, obs.target, psi, theta0, eta, steps)
+        assert not diverged
+        for errors in residuals[:, :, 0]:
+            rate, r2 = fit_decay_rate(errors)
+            rates.append(rate)
+            fits.append(r2)
     good_fits = int(np.sum(np.asarray(fits) > 0.99))
     ratio = float(np.mean(rates)) / target
     return good_fits, ratio

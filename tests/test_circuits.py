@@ -9,10 +9,7 @@ from qntklab.circuits import (
     build_hardware_efficient,
     build_random_ansatz,
     chunk_grid,
-    circuit_unitary,
     cnot_chain,
-    evolve_state,
-    prefix_suffix,
     sample_random_circuits,
     uniform_angles,
     y_tilted_state,
@@ -26,7 +23,7 @@ from qntklab.linalg import (
     zero_state,
 )
 
-from helpers import expm_pauli
+from helpers import circuit_unitary, evolve_state, expm_pauli, prefix_suffix
 
 
 def brute_force_unitary(ansatz, theta):

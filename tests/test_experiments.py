@@ -359,6 +359,26 @@ def test_decay_fit_missing_input_rejected(tmp_path):
         run_experiment(cfg, tmp_path / "out")
 
 
+_MALFORMED_TRIALS = {
+    "non-numeric": ("step,residual,kernel\n0,1.0,0.0\n1,oops,0.0\n", "line 3"),
+    "comment-only": ("# no header\n", "no header line"),
+    "short-row": ("step,residual,kernel\n0,1.0,0.0\n1\n", "line 3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TRIALS))
+def test_decay_fit_malformed_trial_is_config_error(tmp_path, capsys, case):
+    text, where = _MALFORMED_TRIALS[case]
+    trial = tmp_path / "trial_0.csv"
+    trial.write_text(text)
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps({"kind": "decay-fit", "input": str(trial), "seed": 0}))
+    assert cli_main(["decay-fit", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config key 'input'" in err and str(trial) in err and where in err
+    assert "Traceback" not in err
+
+
 def test_load_config_reports_json_syntax_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "kind": "train",\n  oops\n}\n')

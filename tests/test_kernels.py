@@ -6,10 +6,9 @@ import pytest
 from qntklab.circuits import (
     AnsatzSpec,
     CircuitBatch,
+    build_hardware_efficient,
     build_random_ansatz,
-    circuit_unitary,
     cnot_chain,
-    prefix_suffix,
     uniform_angles,
 )
 from qntklab.kernels import (
@@ -21,6 +20,7 @@ from qntklab.kernels import (
     hessian_residual,
     meta_kernel,
     model_output,
+    outputs_and_gradients,
     qntk,
     random_pauli_sum,
     real_expectation,
@@ -39,11 +39,13 @@ from qntklab.linalg import (
 )
 
 from helpers import (
+    circuit_unitary,
     dense_output_and_gradient,
     fd_gradient,
     fd_hessian,
     gradient_close,
     parameter_shift_gradient,
+    prefix_suffix,
 )
 
 ZZ = Observable(((1.0, PauliString("ZZ")),))
@@ -181,14 +183,29 @@ def test_qntk_basics():
     assert qntk(g) >= 0.0
 
 
+def test_zero_layer_supervised_kernel_is_zero():
+    empty = build_random_ansatz(2, 0, RngStream(3))
+    second = Observable(((1.0, PauliString("XX")),))
+    prob = SupervisedProblem.with_basis_features(2, np.zeros((3, 2)), (ZZ, second))
+    outputs, grads = outputs_and_gradients(empty, np.empty(0), prob)
+    assert outputs.shape == (6,) and grads.shape == (6, 0)
+    kernel = supervised_kernel(empty, np.empty(0), prob)
+    assert kernel.shape == (6, 6) and not np.any(kernel)
+
+
 def test_hessian_empty_circuit():
     empty = build_random_ansatz(2, 0, RngStream(9))
     assert hessian_residual(empty, np.empty(0), ZZ, zero_state(2)).shape == (0, 0)
 
 
 def test_hessian_matches_finite_differences():
-    for seed in (10, 11, 12):
-        ansatz, theta, obs, psi = random_setup(seed, n=2, layers=4)
+    setups = [random_setup(seed, n=2, layers=4) for seed in (10, 11, 12)]
+    # a structured circuit: shared identity layers and a CNOT chain
+    rng = RngStream(15)
+    hea = build_hardware_efficient(3, 1, "cnot-su2", rng.substream(0))
+    theta = uniform_angles(hea.num_layers, rng.substream(2))
+    setups.append((hea, theta, random_pauli_sum(3, 10, rng.substream(1)), zero_state(3)))
+    for ansatz, theta, obs, psi in setups:
         exact = hessian_residual(ansatz, theta, obs, psi)
         approx = fd_hessian(ansatz, theta, obs, psi)
         assert np.max(np.abs(exact - exact.T)) <= 1e-10
@@ -196,10 +213,23 @@ def test_hessian_matches_finite_differences():
 
 
 def test_hessian_diagonal_double_commutator_identity():
-    # diagonal entries equal the conjugated double-commutator sandwich
+    # every entry a <= b equals the nested commutator -<psi0|[Y_a, [Y_b, M]]|psi0>
+    # with Y_l = C' X_l C (C the dense prefix through layer l-1) and M = U' O U
     ansatz, theta, obs, psi = random_setup(13, n=2, layers=5)
     exact = hessian_residual(ansatz, theta, obs, psi)
     u = circuit_unitary(ansatz, theta)
+    heis = u.conj().T @ obs.matrix @ u
+    frame = []
+    for ell in range(1, 6):
+        c = np.eye(4, dtype=complex) if ell == 1 else prefix_suffix(ansatz, theta, ell - 1)[0]
+        frame.append(c.conj().T @ pauli_matrix(ansatz.generators[ell - 1]) @ c)
+    for a in range(5):
+        for b in range(a, 5):
+            inner = frame[b] @ heis - heis @ frame[b]
+            nested = -np.vdot(psi, (frame[a] @ inner - inner @ frame[a]) @ psi)
+            assert abs(nested.imag) <= 1e-10
+            assert exact[a, b] == pytest.approx(nested.real, abs=1e-10)
+    # diagonal entries also equal the conjugated double-commutator sandwich
     for ell in range(1, 6):
         prefix, suffix = prefix_suffix(ansatz, theta, ell)
         w = ansatz.fixed_unitaries[ell - 1]
@@ -211,7 +241,6 @@ def test_hessian_diagonal_double_commutator_identity():
         sandwich = -np.vdot(phi, double @ phi)
         assert abs(sandwich.imag) <= 1e-10
         assert exact[ell - 1, ell - 1] == pytest.approx(sandwich.real, abs=1e-10)
-    del u
 
 
 def test_meta_kernel_basics():
@@ -343,9 +372,15 @@ def test_supervised_points_are_batched_within_the_byte_budget(monkeypatch):
     whole = kernels.outputs_and_gradients(ansatz, theta, prob)
     sizes = []
     engine = kernels.forward_adjoint
-    monkeypatch.setattr(kernels, "forward_adjoint", lambda b, *a: sizes.append(b.size) or engine(b, *a))
+
+    def record(batch, theta, psi, obs_matrix):
+        # (circuits, state rows) of each engine call: the points are rows of one circuit
+        sizes.append((batch.size, len(psi)))
+        return engine(batch, theta, psi, obs_matrix)
+
+    monkeypatch.setattr(kernels, "forward_adjoint", record)
     monkeypatch.setattr(kernels, "STACK_BYTES", 3 * 5 * 8 * 16)
     blocks = kernels.outputs_and_gradients(ansatz, theta, prob)
-    assert sizes == [3, 3, 3, 3, 2, 2]
+    assert sizes == [(1, 3), (1, 3), (1, 3), (1, 3), (1, 2), (1, 2)]
     assert np.max(np.abs(blocks[0] - whole[0])) <= 1e-12
     assert np.max(np.abs(blocks[1] - whole[1])) <= 1e-12

@@ -11,13 +11,11 @@ from qntklab.linalg import (
     kahan_sum,
     matrices_per_block,
     pauli_matrix,
-    pauli_rotation,
-    rotate_state,
     sample_pauli,
     zero_state,
 )
 
-from helpers import expm_pauli
+from helpers import expm_pauli, pauli_rotation, rotate_state
 
 
 def random_letters(n, gen):
