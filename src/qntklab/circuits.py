@@ -10,6 +10,13 @@ validated circuit; :class:`CircuitBatch` lays S of them out for the batched
 engine (``kernels.forward_adjoint``), which is the only code that evaluates
 the product.  Random-Haar ensembles are sampled straight into a batch by
 :func:`sample_random_circuits`.
+
+A fixed layer W takes one of three forms.  ``None`` is the identity.  A 1-D
+integer array ``perm`` is a permutation, (W psi)[i] = psi[perm[i]], such as
+the CNOT ladder of :func:`cnot_ladder`.  A complex (D, D) array, or an
+(S, D, D) stack in a batch, is a dense unitary, such as a Haar layer.  Only
+dense layers are checked for unitarity; the structured forms cost O(D) to
+validate and to apply, and :func:`dense_layer` turns any form into a matrix.
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ class AnsatzSpec:
     """Immutable layered-circuit description.
 
     ``generators[k]`` and ``fixed_unitaries[k]`` define layer k+1; the layer's
-    gate is ``fixed_unitaries[k] @ exp(i theta_k generators[k])``.
+    gate is ``fixed_unitaries[k] @ exp(i theta_k generators[k])``, with the
+    fixed layer in one of the forms of the module docstring.
     """
 
     num_qubits: int
@@ -49,15 +57,16 @@ class AnsatzSpec:
         if len(self.generators) != len(self.fixed_unitaries):
             raise ValueError("generator and fixed-unitary lists must have equal length")
         dim = 1 << self.num_qubits
-        # hardware-efficient circuits reuse one identity array for most layers:
-        # each distinct array is checked once
+        # a layer array repeated in the circuit is checked once
         checked = set()
         for w in self.fixed_unitaries:
-            if w.shape != (dim, dim):
-                raise ValueError("fixed unitary has wrong dimension")
-            if id(w) in checked:
+            if w is None or id(w) in checked:
                 continue
-            if not is_unitary(w):
+            if w.ndim == 1:
+                _check_permutation(w, dim)
+            elif w.shape != (dim, dim):
+                raise ValueError("fixed unitary has wrong dimension")
+            elif not is_unitary(w):
                 raise ValueError("fixed layer matrix is not unitary")
             w.setflags(write=False)
             checked.add(id(w))
@@ -83,12 +92,39 @@ class AnsatzSpec:
         return CircuitBatch.from_specs([self] * size)
 
 
+def _check_permutation(perm: np.ndarray, dim: int):
+    """A permutation layer holds each index 0..D-1 exactly once."""
+    if not np.issubdtype(perm.dtype, np.integer):
+        raise ValueError("permutation layer must be an integer array")
+    if perm.shape != (dim,):
+        raise ValueError(f"permutation layer has length {len(perm)}, expected {dim}")
+    if not np.array_equal(np.sort(perm), np.arange(dim)):
+        raise ValueError("permutation layer must hold each index 0..D-1 once")
+
+
+def dense_layer(w, dim: int) -> np.ndarray:
+    """A fixed layer as a dense matrix: W[i, perm[i]] = 1 for a permutation, I for None."""
+    if w is None:
+        return np.eye(dim, dtype=complex)
+    if w.ndim == 1:
+        return np.eye(dim, dtype=complex)[w]
+    return w
+
+
+def _inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(len(perm))
+    inverse.setflags(write=False)
+    return inverse
+
+
 @dataclass(frozen=True)
 class CircuitBatch:
     """S circuits of equal width and depth, laid out for the batched engine.
 
     ``fixed[l]`` is the fixed unitary of layer l+1: an (S, D, D) stack with one
-    matrix per circuit, or a single (D, D) matrix that all S circuits share.
+    matrix per circuit, or a layer that all S circuits share: ``None`` (the
+    identity), a permutation (D,) or a dense (D, D) matrix.
     ``perms[l]`` and ``phases[l]`` apply the layer's Pauli generator as in
     :func:`linalg._pauli_action`, one entry per circuit, or a single entry
     when the generator is shared; both have shape (L, S or 1, D).  In the
@@ -106,7 +142,8 @@ class CircuitBatch:
     def __post_init__(self):
         # the cached gate factors are built from these arrays, so none may change
         for arr in (*self.fixed, self.perms, self.phases):
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def num_layers(self) -> int:
@@ -116,10 +153,25 @@ class CircuitBatch:
     def dim(self) -> int:
         return 1 << self.num_qubits
 
+    def backward_layers(self) -> tuple:
+        """The fixed layers as the row-vector backward pass mu <- mu W reads them.
+
+        mu W is a gather by the inverse permutation for a permutation layer,
+        so that layer is replaced by its inverse; the others are as in
+        ``fixed``.  Built on first use and cached, like :meth:`gate_factors`.
+        """
+        cache = self.__dict__
+        if "_backward_layers" not in cache:
+            cache["_backward_layers"] = tuple(
+                _inverse_permutation(w) if w is not None and w.ndim == 1 else w for w in self.fixed
+            )
+        return cache["_backward_layers"]
+
     def gate_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The angle-independent factors W and W X of every layer's gate, each (L, S, D, D).
 
-        The gate of layer l is W_l exp(i theta X_l) = cos(theta) W_l + i sin(theta) W_l X_l.
+        The gate of layer l is W_l exp(i theta X_l) = cos(theta) W_l + i sin(theta) W_l X_l,
+        with identity and permutation layers made dense.
         Column c of W X is column perm[c] of W times phase[perm[c]], which is
         conj(phase[c]) because a Pauli string is Hermitian.  Both are built on
         first use, read-only, and kept outside the dataclass fields, so they
@@ -130,7 +182,7 @@ class CircuitBatch:
             layers, size, dim = self.num_layers, self.size, self.dim
             w = np.empty((layers, size, dim, dim), dtype=complex)
             for out, fixed in zip(w, self.fixed):
-                out[...] = fixed
+                out[...] = dense_layer(fixed, dim)
             rows = (np.arange(layers * size * dim) * dim).reshape(layers, size, dim, 1)
             columns = w.take(rows + self.perms[:, :, None, :])
             columns *= self.phases.conj()[:, :, None, :]
@@ -143,9 +195,10 @@ class CircuitBatch:
     def from_specs(cls, specs) -> "CircuitBatch":
         """Batch of validated circuits.
 
-        A layer whose fixed matrix is the same in every circuit (the same
-        array, or equal entries) is passed once as a shared (D, D) matrix and
-        never copied; the others are stacked.
+        A layer whose fixed entry is the same in every circuit (``None``, the
+        same array, or equal arrays) is passed once and never copied.  The
+        others are stacked as dense (S, D, D) matrices, so a layer whose form
+        differs between circuits is made dense.
         """
         first = specs[0]
         if any(
@@ -155,10 +208,10 @@ class CircuitBatch:
         fixed = []
         for layer, w in enumerate(first.fixed_unitaries):
             others = [s.fixed_unitaries[layer] for s in specs[1:]]
-            if all(o is w or np.array_equal(o, w) for o in others):
+            if all(o is w or (o is not None and w is not None and np.array_equal(o, w)) for o in others):
                 fixed.append(w)
             else:
-                fixed.append(np.stack([w] + others))
+                fixed.append(np.stack([dense_layer(x, first.dim) for x in [w] + others]))
         if all(s.generators == first.generators for s in specs):
             rows = [first.generators]
         else:
@@ -201,7 +254,9 @@ def _draw_random_layers(n: int, layers: int, streams, exclude_identity: bool):
 
     Circuit s draws from ``streams[s]`` in the order of a circuit built alone:
     per layer the generator code, then the real and the imaginary part of the
-    Ginibre matrix.  The Ginibre matrices are QR'd and phase-fixed in blocks
+    Ginibre matrix, both in one normal fill of a contiguous (2, D, D) slot
+    (the generator fills in order, so that is the draw of the two parts one
+    after the other).  The Ginibre matrices are QR'd and phase-fixed in blocks
     of at most STACK_BYTES, so at D >= 128 one matrix at a time.
     """
     if n < 1 or layers < 0:
@@ -212,18 +267,16 @@ def _draw_random_layers(n: int, layers: int, streams, exclude_identity: bool):
     stack = np.empty((len(streams), layers, dim, dim), dtype=complex)
     flat = stack.reshape(count, dim, dim)
     step = matrices_per_block(dim)
-    real = np.empty((min(step, count), dim, dim))
-    imag = np.empty_like(real)
+    parts = np.empty((min(step, count), 2, dim, dim))
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         for i in range(lo, hi):
             s, layer = divmod(i, layers)
             rng = streams[s]
             codes[s, layer] = pauli_code(n, rng, exclude_identity)
-            rng.generator.standard_normal(out=real[i - lo])
-            rng.generator.standard_normal(out=imag[i - lo])
+            rng.generator.standard_normal(out=parts[i - lo])
         block = flat[lo:hi]
-        block[...] = haar_from_ginibre(ginibre(real[: hi - lo], imag[: hi - lo], out=block))
+        block[...] = haar_from_ginibre(ginibre(parts[: hi - lo, 0], parts[: hi - lo, 1], out=block))
     return codes, stack
 
 
@@ -267,19 +320,15 @@ def _two_qubit_string(n: int, q1: int, q2: int, letter: str) -> PauliString:
     return PauliString("".join(s))
 
 
-def cnot_chain(n: int) -> np.ndarray:
-    """Dense CNOT ladder, control q -> target q+1 for q = 0..n-2."""
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for b in range(dim):
-        out = b
-        for q in range(n - 1):
-            control = n - 1 - q
-            target = n - 2 - q
-            if (out >> control) & 1:
-                out ^= 1 << target
-        mat[out, b] = 1.0
-    return mat
+def cnot_ladder(n: int) -> np.ndarray:
+    """The CNOT ladder, control q -> target q+1 for q = 0..n-2 in turn, as a permutation layer.
+
+    The ladder maps |b> to |f(b)>, where bit q of f(b) is the XOR of bits
+    0..q of b (qubit 0 is the most significant bit): f is the inverse Gray
+    code.  So (W psi)[i] = psi[g(i)] with g(i) = i XOR (i >> 1), the Gray code.
+    """
+    index = np.arange(1 << n)
+    return index ^ (index >> 1)
 
 
 def build_hardware_efficient(
@@ -296,32 +345,33 @@ def build_hardware_efficient(
     ``cnot-su2``: general single-qubit rotations as Z-Y-Z generator triplets on
     each qubit, followed by a fixed CNOT chain carried by the last rotation
     layer of the block.  Parameter count per block: 3n.
+
+    The fixed layers are ``None`` (the identity) except the CNOT ladder, one
+    permutation array shared by the blocks: no dense matrix is built.
     """
     if n < 2:
         raise ValueError("hardware-efficient ansatz needs n >= 2 (no entangler otherwise)")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    dim = 1 << n
-    eye = np.eye(dim, dtype=complex)
     gens: list[PauliString] = []
-    fixed: list[np.ndarray] = []
+    fixed: list[np.ndarray | None] = []
     if variant == "cphase-ladder":
         for _ in range(depth):
             for q in range(n):
                 axis = "XYZ"[int(rng.generator.integers(0, 3))]
                 gens.append(_single_qubit_string(n, q, axis))
-                fixed.append(eye)
+                fixed.append(None)
             for q in range(n - 1):
                 gens.append(_two_qubit_string(n, q, q + 1, "Z"))
-                fixed.append(eye)
+                fixed.append(None)
     elif variant == "cnot-su2":
-        chain = cnot_chain(n)
+        ladder = cnot_ladder(n)
         for _ in range(depth):
             for q in range(n):
                 for axis in ("Z", "Y", "Z"):
                     gens.append(_single_qubit_string(n, q, axis))
-                    fixed.append(eye)
-            fixed[-1] = chain
+                    fixed.append(None)
+            fixed[-1] = ladder
     else:
         raise ValueError(f"unknown hardware-efficient variant {variant!r}")
     return AnsatzSpec(n, tuple(gens), tuple(fixed))
@@ -352,7 +402,8 @@ __all__ = [
     "build_hardware_efficient",
     "build_random_ansatz",
     "chunk_grid",
-    "cnot_chain",
+    "cnot_ladder",
+    "dense_layer",
     "ensemble_angles",
     "sample_random_circuits",
     "samples_per_chunk",

@@ -90,6 +90,12 @@ _ALLOWED_KEYS = {
     "decay-fit": _COMMON_KEYS | {"input", "burn_in", "floor"},
 }
 
+# Largest dense arrays a config may call for, counted before anything is
+# allocated: the D x D observable plus the dense fixed layers of one circuit,
+# L Haar matrices for a random-Haar circuit and none for the hardware-efficient
+# families, whose fixed layers are identities and one permutation.
+DENSE_BYTES_LIMIT = 2 << 30
+
 _DEFAULTS = {
     "threads": 1,
     "resample": "instance",
@@ -143,6 +149,20 @@ def _as_number(key: str, value, positive: bool = False, minimum: float | None = 
     if minimum is not None and value < minimum:
         _fail(key, f"must be >= {minimum}, got {value}")
     return value
+
+
+def _check_dense_bytes(key: str, qubits: int, dense_layers: int):
+    """Refuse a config whose dense arrays would exceed DENSE_BYTES_LIMIT."""
+    estimate = (1 + dense_layers) * (16 << (2 * qubits))
+    if estimate > DENSE_BYTES_LIMIT:
+        # Python ints of any size; only the message needs a float
+        gib = estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
+        _fail(
+            key,
+            f"needs about {gib:.1f} GiB of dense arrays (the observable and "
+            f"{dense_layers} dense fixed layers of one circuit at {qubits} qubits); "
+            f"the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
+        )
 
 
 def _validate_fit_keys(cfg: dict, out: dict):
@@ -236,6 +256,7 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         # one observable serves every qubit count: it is realized on the
         # largest and truncated to its leading letters for the smaller ones
         _check_observable_width(out["observable"], max(out["qubits"]))
+        _check_dense_bytes("qubits", max(out["qubits"]), 0)
         return out
 
     out["qubits"] = _as_int("qubits", _require(cfg, "qubits"), minimum=1)
@@ -274,6 +295,9 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
+    random_haar = out.get("ansatz", "random-haar") == "random-haar"
+    depth = max(out["layers"]) if isinstance(out["layers"], list) else out["layers"]
+    _check_dense_bytes("qubits/layers", out["qubits"], depth if random_haar else 0)
     return out
 
 
@@ -617,6 +641,7 @@ def run_train_supervised(cfg: dict, out_dir: Path) -> int:
         "config_sha256": digest,
         "trials": cfg["trials"],
         "diverged_trials": diverged,
+        "diverged_messages": {str(k): results[k]["message"] for k in diverged},
         "labels": labels.tolist(),
         "final_mean_loss": summary_rows[-1][1] if summary_rows else None,
         "initial_mean_loss": summary_rows[0][1] if summary_rows else None,
@@ -835,6 +860,7 @@ def run_experiment(cfg: dict, out_dir: str | Path) -> int:
 
 __all__ = [
     "ConfigError",
+    "DENSE_BYTES_LIMIT",
     "EXIT_ALL_DIVERGED",
     "EXIT_CHECK_FAILED",
     "EXIT_CONFIG",

@@ -24,7 +24,9 @@ factors are cached on the batch.  Because X_l commutes with its own rotation,
 the component is then -2 Im <lam_{l-1}| X_l |psi_{l-1}>, where psi_{l-1} is
 the input of layer l and lam_{l-1} is O U|psi0> pulled back to the same point.
 Wider or deeper chunks apply each layer's rotation and fixed unitary in turn
-instead, which needs no per-circuit dense gate.
+instead, which needs no per-circuit dense gate.  There an identity layer is
+skipped and a permutation layer is a gather (see ``circuits``), so the
+hardware-efficient families cost O(L D) per row and pass.
 
 The second derivative is the shift rule applied to these exact gradients.
 With a Pauli generator every gradient component has the form
@@ -81,8 +83,9 @@ class Observable:
     """Hermitian operator as a weighted Pauli sum, immutable, with a cached dense matrix.
 
     ``target`` is the scalar the expectation value is trained toward.  The
-    matrix and the spectrum are computed on first use and kept outside the
-    dataclass fields, so they can be neither passed in nor left stale.
+    matrix is computed on first use and kept outside the dataclass fields, so
+    it can be neither passed in nor left stale.  Trace powers come from the
+    Pauli terms alone and never build it.
     """
 
     terms: tuple[tuple[float, PauliString], ...]
@@ -118,18 +121,62 @@ class Observable:
         return cache["_matrix"]
 
     def trace_power(self, k: int) -> float:
-        """Tr(O^k), computed from the dense spectrum (works for any Hermitian O)."""
-        cache = self.__dict__
-        if "_eigenvalues" not in cache:
-            cache["_eigenvalues"] = np.linalg.eigvalsh(self.matrix)
-        with np.errstate(over="ignore"):
-            return float(np.sum(cache["_eigenvalues"] ** k))
+        """Tr(O^k) = D times the identity coefficient of O^k, by Pauli-product algebra.
+
+        O^k is split as O^a O^b with a = k - k // 2 and b = k // 2, and both
+        are expanded as Pauli sums.  Tr(P Q) = D [P == Q] for Pauli strings,
+        so Tr O^k = D sum_P a_P b_P.  The cost depends on the number of terms,
+        not on D.  Products are ``c * d`` on Python floats, so an overflow
+        gives inf, never an error.
+        """
+        if k < 0:
+            raise ValueError("trace power needs k >= 0")
+        terms: dict[tuple[int, int], float] = {}
+        for coef, pauli in self.terms:
+            key = _pauli_masks(pauli.letters)
+            terms[key] = terms.get(key, 0.0) + coef
+        left = _pauli_power(terms, k - k // 2)
+        right = _pauli_power(terms, k // 2)
+        return float(self.dim * sum(c * right[key] for key, c in left.items() if key in right))
 
     def as_dict(self) -> dict:
         return {
             "terms": [[c, p.letters] for c, p in self.terms],
             "target": self.target,
         }
+
+
+def _pauli_masks(letters: str) -> tuple[int, int]:
+    """(x, z) bit masks of a Pauli string: P = i^|x & z| X^x Z^z, qubit 0 the top bit."""
+    x = z = 0
+    for letter in letters:
+        x = (x << 1) | (letter in "XY")
+        z = (z << 1) | (letter in "ZY")
+    return x, z
+
+
+def _pauli_power(terms: dict, power: int) -> dict:
+    """O^power as {(x, z): coefficient} for O = sum of coefficient * Pauli string.
+
+    P1 P2 = i^e P3 with P3 = (x1 ^ x2, z1 ^ z2) and
+    e = |x1 & z1| + |x2 & z2| + 2 |z1 & x2| - |x3 & z3|  (mod 4).
+    A power of a Hermitian O has real coefficients, so the products with odd
+    e, which anticommute, cancel in pairs and are skipped; e = 2 flips a sign.
+    """
+    result = {(0, 0): 1.0}
+    for _ in range(power):
+        product: dict[tuple[int, int], float] = {}
+        for (x1, z1), c1 in result.items():
+            for (x2, z2), c2 in terms.items():
+                x3, z3 = x1 ^ x2, z1 ^ z2
+                e = (x1 & z1).bit_count() + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count()
+                e = (e - (x3 & z3).bit_count()) & 3
+                if e & 1:
+                    continue
+                value = c1 * c2
+                product[x3, z3] = product.get((x3, z3), 0.0) + (value if e == 0 else -value)
+        result = product
+    return result
 
 
 def random_pauli_sum(
@@ -168,11 +215,17 @@ def _check_inputs(dim: int, size: int, psi0, obs_matrix: np.ndarray) -> np.ndarr
     return psi0
 
 
-def _apply(w: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """W @ psi for every row of ``states``; W shared (D, D) or one per circuit (S, D, D).
+def _apply(w, states: np.ndarray) -> np.ndarray:
+    """W @ psi for every row of ``states``; W shared or one per circuit (S, D, D).
 
-    A stacked W serves the P consecutive rows of its circuit, viewed as (S, P, D).
+    A shared W is ``None`` (the identity: the rows come back unchanged), a
+    permutation (a gather) or a dense (D, D) matrix.  A stacked W serves the
+    P consecutive rows of its circuit, viewed as (S, P, D).
     """
+    if w is None:
+        return states
+    if w.ndim == 1:
+        return states.take(w, axis=1)
     if w.ndim == 2:
         return np.dot(states, w.T)
     size, dim = len(w), states.shape[1]
@@ -180,8 +233,14 @@ def _apply(w: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.matmul(w, rows).swapaxes(1, 2).reshape(-1, dim)
 
 
-def _apply_transpose(w: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """W^T @ psi for every row of ``states`` (the backward pass runs on conjugates)."""
+def _apply_transpose(w, states: np.ndarray) -> np.ndarray:
+    """W^T @ psi for every row of ``states`` (the backward pass runs on conjugates).
+
+    ``w`` is a layer of :meth:`CircuitBatch.backward_layers`: a permutation
+    there is already the inverse, W^T itself, and is applied as a gather.
+    """
+    if w is None or w.ndim == 1:
+        return _apply(w, states)
     if w.ndim == 2:
         return np.dot(states, w)
     size, dim = len(w), states.shape[1]
@@ -285,8 +344,9 @@ def _layer_pass(
     mu = lam.conj()
     conj_phases = phases.conj()
     turns = isin * conj_phases
+    backward = batch.backward_layers()
     for k in range(layers - 1, -1, -1):
-        mu = _apply_transpose(batch.fixed[k], mu)
+        mu = _apply_transpose(backward[k], mu)
         mu.take(gather[k], out=gathered[k])
         mu = cos[k] * mu + turns[k] * gathered[k]
     # d eps / d theta_k = 2 Im <tilted_k| X lam_k> = -2 Im sum(tilted_k * conj(X lam_k))

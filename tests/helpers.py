@@ -6,13 +6,41 @@ differences of the scalar residual, and the parameter-shift rule from shifted
 full evaluations.  The dense single-circuit paths (the circuit matrix, its
 prefix/suffix split, and layer-by-layer state evolution) live here too; the
 library evaluates circuits only in its batched engine.  They are the "second
-route" every exact formula is checked against.
+route" every exact formula is checked against.  They make every fixed layer
+dense first (:func:`dense_fixed`), and the dense CNOT chain that the library's
+permutation layer replaces is built here bit by bit (:func:`cnot_chain`).
 """
 
 import numpy as np
 
 from qntklab import residual_error
 from qntklab.linalg import PauliString, pauli_matrix
+
+
+def dense_fixed(w, dim: int) -> np.ndarray:
+    """A fixed layer as a dense matrix: I for None, W[i, perm[i]] = 1 for a permutation."""
+    if w is None:
+        return np.eye(dim, dtype=complex)
+    if w.ndim == 1:
+        mat = np.zeros((dim, dim), dtype=complex)
+        mat[np.arange(dim), w] = 1.0
+        return mat
+    return w
+
+
+def cnot_chain(n: int) -> np.ndarray:
+    """Dense CNOT ladder, control q -> target q+1 for q = 0..n-2, one basis state at a time."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        out = b
+        for q in range(n - 1):
+            control = n - 1 - q
+            target = n - 2 - q
+            if (out >> control) & 1:
+                out ^= 1 << target
+        mat[out, b] = 1.0
+    return mat
 
 
 def pauli_rotation(p: PauliString | str, theta: float) -> np.ndarray:
@@ -32,7 +60,7 @@ def circuit_unitary(ansatz, theta: np.ndarray) -> np.ndarray:
     theta = ansatz.check_parameters(theta)
     u = np.eye(ansatz.dim, dtype=complex)
     for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        u = w @ (pauli_rotation(gen, t) @ u)
+        u = dense_fixed(w, ansatz.dim) @ (pauli_rotation(gen, t) @ u)
     return u
 
 
@@ -49,7 +77,7 @@ def prefix_suffix(ansatz, theta: np.ndarray, ell: int) -> tuple[np.ndarray, np.n
     prefix = np.eye(dim, dtype=complex)
     suffix = np.eye(dim, dtype=complex)
     for k in range(ansatz.num_layers):
-        gate = ansatz.fixed_unitaries[k] @ pauli_rotation(ansatz.generators[k], theta[k])
+        gate = dense_fixed(ansatz.fixed_unitaries[k], dim) @ pauli_rotation(ansatz.generators[k], theta[k])
         if k < ell:
             prefix = gate @ prefix
         else:
@@ -64,7 +92,7 @@ def evolve_state(ansatz, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
         raise ValueError("state dimension does not match ansatz")
     out = psi
     for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        out = w @ rotate_state(gen, t, out)
+        out = dense_fixed(w, ansatz.dim) @ rotate_state(gen, t, out)
     return out
 
 
@@ -134,10 +162,13 @@ def parameter_shift_gradient(ansatz, theta, obs, psi):
 
 
 def dense_output(letters, fixed, theta, psi, obs_matrix):
-    """<psi|U' O U|psi> for one circuit, from explicit eigendecomposition exponentials."""
+    """<psi|U' O U|psi> for one circuit, from explicit eigendecomposition exponentials.
+
+    ``fixed`` holds the circuit's fixed layers in any form; each is made dense.
+    """
     u = np.eye(len(psi), dtype=complex)
     for gen, w, t in zip(letters, fixed, theta):
-        u = w @ expm_pauli(gen, t) @ u
+        u = dense_fixed(w, len(psi)) @ expm_pauli(gen, t) @ u
     phi = u @ psi
     return np.vdot(phi, obs_matrix @ phi).real
 

@@ -9,7 +9,8 @@ from qntklab.circuits import (
     build_hardware_efficient,
     build_random_ansatz,
     chunk_grid,
-    cnot_chain,
+    cnot_ladder,
+    dense_layer,
     sample_random_circuits,
     uniform_angles,
     y_tilted_state,
@@ -24,14 +25,14 @@ from qntklab.linalg import (
     zero_state,
 )
 
-from helpers import circuit_unitary, evolve_state, expm_pauli, prefix_suffix
+from helpers import circuit_unitary, cnot_chain, dense_fixed, evolve_state, expm_pauli, prefix_suffix
 
 
 def brute_force_unitary(ansatz, theta):
     # independent route: eigendecomposition exponentials, explicit product
     u = np.eye(ansatz.dim, dtype=complex)
     for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        u = w @ expm_pauli(gen.letters, t) @ u
+        u = dense_fixed(w, ansatz.dim) @ expm_pauli(gen.letters, t) @ u
     return u
 
 
@@ -148,9 +149,8 @@ def test_cphase_ladder_axes_are_single_qubit():
     for k, gen in enumerate(a.generators):
         weight = sum(c != "I" for c in gen.letters)
         assert weight in (1, 2)
-    # every fixed unitary is trivial; the couplings themselves carry the angles
-    for w in a.fixed_unitaries:
-        assert np.array_equal(w, np.eye(8))
+    # every fixed layer is the identity; the couplings themselves carry the angles
+    assert all(w is None for w in a.fixed_unitaries)
 
 
 def test_cnot_su2_structure():
@@ -271,8 +271,12 @@ def test_batched_sampler_matches_circuits_built_alone(n, layers):
 def test_batch_shares_equal_layers_without_copies():
     specs = [build_hardware_efficient(3, 2, "cphase-ladder", RngStream(21, (k,))) for k in range(3)]
     batch = CircuitBatch.from_specs(specs)
-    assert all(w.shape == (8, 8) for w in batch.fixed)
-    assert batch.fixed[0] is specs[0].fixed_unitaries[0]
+    assert all(w is None for w in batch.fixed)
+    # each circuit builds its own ladder array; the equal arrays are passed once
+    specs = [build_hardware_efficient(3, 2, "cnot-su2", RngStream(21, (k,))) for k in range(3)]
+    batch = CircuitBatch.from_specs(specs)
+    assert batch.fixed[8] is specs[0].fixed_unitaries[8]
+    assert batch.fixed[8].shape == (8,)
     shared = build_random_ansatz(2, 4, RngStream(22)).batch(5)
     assert shared.size == 5 and shared.perms.shape == (4, 1, 4)
 
@@ -281,9 +285,56 @@ def test_each_fixed_array_is_checked_once(monkeypatch):
     calls = []
     original = circuits.is_unitary
     monkeypatch.setattr(circuits, "is_unitary", lambda w: calls.append(w) or original(w))
-    a = build_hardware_efficient(3, 3, "cnot-su2", RngStream(23))
-    assert a.num_layers == 27
-    assert len(calls) == 2  # the shared identity and the CNOT chain
+    w = haar_unitary(8, RngStream(23))
+    gens = tuple(PauliString(x) for x in ("XII", "IZI", "IIY", "ZZI", "XYZ"))
+    a = AnsatzSpec(3, gens, (w, None, w, cnot_ladder(3), w))
+    assert a.num_layers == 5
+    assert len(calls) == 1  # the repeated dense layer; identity and permutation need no check
+
+
+def test_hardware_efficient_circuit_holds_no_dense_layer(monkeypatch):
+    calls = []
+    monkeypatch.setattr(circuits, "is_unitary", lambda w: calls.append(w) or True)
+    a = build_hardware_efficient(9, 1, "cnot-su2", RngStream(26))
+    assert a.num_layers == 27 and calls == []
+    assert all(w is None for w in a.fixed_unitaries[:-1])
+    assert a.fixed_unitaries[-1].shape == (512,)
+    b = build_hardware_efficient(9, 1, "cphase-ladder", RngStream(26))
+    assert all(w is None for w in b.fixed_unitaries) and calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cnot_ladder_is_the_dense_chain(n):
+    assert np.array_equal(dense_layer(cnot_ladder(n), 1 << n), cnot_chain(n))
+    assert np.array_equal(dense_fixed(cnot_ladder(n), 1 << n), cnot_chain(n))
+
+
+@pytest.mark.parametrize(
+    "perm, message",
+    [
+        ([0, 1, 1, 3], "each index"),
+        ([0, 1, 2, 4], "each index"),
+        ([0, -1, 2, 3], "each index"),
+        ([0, 2, 1], "length 3"),
+        ([1, 0, 3, 2, 4, 5, 6, 7], "length 8"),
+        ([0.0, 1.0, 2.0, 3.0], "integer"),
+    ],
+    ids=["repeated", "out-of-range", "negative", "short", "long", "float"],
+)
+def test_bad_permutation_layer_rejected(perm, message):
+    with pytest.raises(ValueError, match=message):
+        AnsatzSpec(2, (PauliString("XZ"),), (np.array(perm),))
+
+
+def test_batch_makes_a_layer_dense_where_its_form_differs():
+    # layer 1: identity in one circuit, permutation in another, Haar in the third
+    w = haar_unitary(4, RngStream(27))
+    gens = (PauliString("XZ"), PauliString("YY"))
+    specs = [AnsatzSpec(2, gens, (f, None)) for f in (None, cnot_ladder(2), w)]
+    batch = CircuitBatch.from_specs(specs)
+    assert batch.fixed[1] is None
+    expected = np.stack([np.eye(4), cnot_chain(2), w])
+    assert batch.fixed[0].shape == (3, 4, 4) and np.array_equal(batch.fixed[0], expected)
 
 
 def test_chunk_grid_is_fixed_by_size():

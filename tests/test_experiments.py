@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,28 @@ def scan_cfg(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def test_train_supervised_report_keeps_each_divergence_message(tmp_path):
+    cfg = validate_config(
+        supervised_cfg(
+            qubits=2,
+            layers=8,
+            eta=1.0,
+            steps=60,
+            trials=2,
+            train_size=2,
+            observable={"kind": "pauli-sum", "terms": [[1e160, "ZZ"], [1e160, "XI"]]},
+        )
+    )
+    assert run_experiment(cfg, tmp_path) == EXIT_ALL_DIVERGED
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["diverged_trials"] == [0, 1]
+    assert sorted(report["diverged_messages"]) == ["0", "1"]
+    for message in report["diverged_messages"].values():
+        assert re.fullmatch(r"non-finite residual or parameters at step \d+; reduce the learning rate", message)
+    assert run_experiment(validate_config(supervised_cfg(trials=2)), tmp_path / "ok") == EXIT_OK
+    assert json.loads((tmp_path / "ok" / "report.json").read_text())["diverged_messages"] == {}
 
 
 def test_train_supervised_trials_match_the_library(tmp_path):
@@ -535,3 +558,25 @@ def test_non_finite_and_boolean_values_are_config_errors(tmp_path, capsys, base,
     assert cli_main([raw["kind"], "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"config key '{key}'" in err and "Traceback" not in err
+
+
+def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path, capsys):
+    # random-Haar at 13 qubits: the observable and 64 dense layers of 1 GiB each
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(qntk_cfg(qubits=13, layers=[64], observable={"kind": "random-pauli-sum"})))
+    start = time.perf_counter()
+    assert cli_main(["qntk-stats", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "'qubits/layers'" in err and "65.0 GiB" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+    # the hardware-efficient families hold no dense fixed layer: only the observable counts
+    hea = qntk_cfg(qubits=13, layers=[64], ansatz="hardware-efficient-cnot", observable={"kind": "random-pauli-sum"})
+    assert validate_config(hea)["qubits"] == 13
+    with pytest.raises(ConfigError, match="'qubits/layers'"):
+        validate_config(train_cfg(qubits=11, layers=64, observable={"kind": "random-pauli-sum"}))
+    with pytest.raises(ConfigError, match="'qubits'"):
+        validate_config({"kind": "haar-check", "qubits": [2, 15], "samples": 4, "seed": 0})
+    # a width far beyond any float still gives the config error, not an overflow
+    with pytest.raises(ConfigError, match="inf GiB"):
+        validate_config(qntk_cfg(qubits=600, layers=[1], observable={"kind": "random-pauli-sum"}))

@@ -11,7 +11,6 @@ from qntklab.circuits import (
     CircuitBatch,
     build_hardware_efficient,
     build_random_ansatz,
-    cnot_chain,
     uniform_angles,
 )
 from qntklab.kernels import (
@@ -43,6 +42,7 @@ from qntklab.linalg import (
 
 from helpers import (
     circuit_unitary,
+    cnot_chain,
     dense_output_and_gradient,
     fd_gradient,
     fd_hessian,
@@ -76,6 +76,21 @@ def test_observable_trace_powers():
     for k in (1, 2, 3, 4, 6):
         direct = np.trace(np.linalg.matrix_power(mat, k)).real
         assert obs.trace_power(k) == pytest.approx(direct, abs=1e-10)
+    # repeated strings, an identity term, signs and Y letters, against the spectrum
+    for n in range(1, 6):
+        drawn = random_pauli_sum(n, 12, RngStream(40, (n,)), coeff_low=-1.0, coeff_high=1.0).terms
+        terms = drawn + drawn[:3] + ((0.4, PauliString("I" * n)), (-0.3, PauliString("Y" * n)))
+        obs = Observable(terms)
+        spectrum = np.linalg.eigvalsh(obs.matrix)
+        for k in range(1, 7):
+            direct = float(np.sum(spectrum**k))
+            assert abs(obs.trace_power(k) - direct) <= 1e-10 * max(1.0, abs(direct))
+
+
+def test_trace_power_overflow_is_inf():
+    huge = Observable(((1e160, PauliString("ZZ")), (1e160, PauliString("XI"))))
+    assert huge.trace_power(2) == float("inf")
+    assert huge.trace_power(1) == 0.0
 
 
 def test_observable_is_frozen_and_caches_outside_its_fields():
@@ -326,6 +341,9 @@ def test_unnormalized_state_rejected():
         residual_error(ansatz, np.zeros(3), ZZ, 2.0 * zero_state(2))
 
 
+# The three forms of a fixed layer: None, a permutation, a dense matrix
+LAYER_FORMS = ("identity", "permutation", "dense")
+
 # Budgets for kernels.STACK_BYTES that force each engine path: every batch
 # fits the first (dense per-circuit gates), none fits the second (one
 # rotation and one fixed unitary at a time), not even one without layers.
@@ -375,36 +393,62 @@ def test_mixed_engine_call_matches_single_circuit_oracle(points, path, monkeypat
     size=st.integers(1, 4),
     points=st.integers(1, 3),
     stacked=st.lists(st.booleans(), min_size=12, max_size=12),
+    kinds=st.lists(st.sampled_from(LAYER_FORMS), min_size=12, max_size=12),
     own_generators=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=1, layers=0, size=3, points=2, stacked=[False] * 12, own_generators=True, seed=0)
-@example(n=2, layers=0, size=1, points=1, stacked=[False] * 12, own_generators=False, seed=0)
+@example(
+    n=1, layers=0, size=3, points=2, stacked=[False] * 12, kinds=["dense"] * 12, own_generators=True, seed=0
+)
+@example(
+    n=2, layers=0, size=1, points=1, stacked=[False] * 12, kinds=["dense"] * 12, own_generators=False, seed=0
+)
+@example(
+    n=3,
+    layers=6,
+    size=3,
+    points=2,
+    stacked=[False, True] * 6,
+    kinds=list(LAYER_FORMS) * 4,
+    own_generators=True,
+    seed=1,
+)
 def test_engine_paths_agree_with_each_other_and_the_dense_oracle(
-    n, layers, size, points, stacked, own_generators, seed
+    n, layers, size, points, stacked, kinds, own_generators, seed
 ):
-    # per layer, a Haar matrix per circuit or one shared by all; generators
-    # shared or per circuit; P input states per circuit
+    # per layer, one fixed entry shared by all circuits (an identity, a
+    # permutation or a Haar matrix), or one per circuit, each of a form drawn
+    # per circuit; generators shared or per circuit; P input states per circuit
     dim = 1 << n
     gen = np.random.default_rng(seed)
     rng = RngStream(seed)
 
-    def haar(k):
+    def entry(form, k):
+        if form == "identity":
+            return None
+        if form == "permutation":
+            return gen.permutation(dim)
         return haar_unitary(dim, rng.substream(k))
 
-    fixed = tuple(
-        np.stack([haar(100 * k + s) for s in range(size)]) if stacked[k] else haar(100 * k + 99)
+    fixed = [
+        [entry(LAYER_FORMS[gen.integers(3)], 100 * k + s) for s in range(size)]
+        if stacked[k]
+        else [entry(kinds[k], 100 * k + 99)] * size
         for k in range(layers)
-    )
+    ]
     owners = size if own_generators else 1
     letters = [
         ["".join(gen.choice(list("IXYZ"), size=n)) for _ in range(layers)] for _ in range(owners)
     ]
-    actions = [[_pauli_action(x) for x in row] for row in letters]
-    perms = np.array([[row[k][0] for row in actions] for k in range(layers)], dtype=np.intp)
-    phases = np.array([[row[k][1] for row in actions] for k in range(layers)], dtype=complex)
-    perms, phases = perms.reshape(layers, owners, dim), phases.reshape(layers, owners, dim)
-    batch = CircuitBatch(n, size, fixed, perms, phases)
+    specs = [
+        AnsatzSpec(
+            n,
+            tuple(PauliString(x) for x in letters[s if own_generators else 0]),
+            tuple(fixed[k][s] for k in range(layers)),
+        )
+        for s in range(size)
+    ]
+    batch = CircuitBatch.from_specs(specs)
     theta = gen.uniform(0.0, 2.0 * np.pi, size=(layers, size))
     states = gen.standard_normal((size * points, dim)) + 1j * gen.standard_normal((size * points, dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -422,7 +466,7 @@ def test_engine_paths_agree_with_each_other_and_the_dense_oracle(
     assert np.max(np.abs(fused_grad - layer_grad), initial=0.0) <= 1e-12
     for r in range(size * points):
         s = r // points
-        per_layer = [w if w.ndim == 2 else w[s] for w in fixed]
+        per_layer = [fixed[k][s] for k in range(layers)]
         value, grad = dense_output_and_gradient(
             letters[s if own_generators else 0], per_layer, theta[:, s], states[r], obs.matrix
         )
