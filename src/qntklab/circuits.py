@@ -9,7 +9,11 @@ with layer 1 applied to the state first.  :class:`AnsatzSpec` describes one
 validated circuit; :class:`CircuitBatch` lays S of them out for the batched
 engine (``kernels.forward_adjoint``), which is the only code that evaluates
 the product.  Random-Haar ensembles are sampled straight into a batch by
-:func:`sample_random_circuits`.
+:func:`sample_random_circuits`, except the ``instance`` kernel ensembles of
+``qntk-stats``: each of their circuits is evaluated once, so
+``kernels.haar_instance_kernels`` draws its Haar layers lazily, two vectors
+per layer, and never builds a batch.  The chunk grid (:func:`chunk_grid`)
+sizes the chunks of either by the bytes a circuit keeps.
 
 A fixed layer W takes one of three forms.  ``None`` is the identity.  A 1-D
 integer array ``perm`` is a permutation, (W psi)[i] = psi[perm[i]], such as
@@ -39,6 +43,8 @@ from .linalg import (
     zero_state,
 )
 
+NOT_UNITARY = "fixed layer matrix is not unitary"
+
 
 @dataclass(frozen=True)
 class AnsatzSpec:
@@ -67,7 +73,7 @@ class AnsatzSpec:
             elif w.shape != (dim, dim):
                 raise ValueError("fixed unitary has wrong dimension")
             elif not is_unitary(w):
-                raise ValueError("fixed layer matrix is not unitary")
+                raise ValueError(NOT_UNITARY)
             w.setflags(write=False)
             checked.add(id(w))
 
@@ -233,19 +239,32 @@ def _generator_tables(letters: list[str], index: np.ndarray, dim: int):
     return perms, phases
 
 
-def samples_per_chunk(dim: int, layers: int) -> int:
-    """Circuits per ensemble chunk: as many random-Haar circuits as fit in STACK_BYTES.
+def code_tables(n: int, codes: np.ndarray):
+    """Permutation and phase tables (L, S, D) of generator codes (S, L), as in :class:`CircuitBatch`."""
+    distinct, index = np.unique(codes, return_inverse=True)
+    letters = [code_letters(n, int(c)) for c in distinct]
+    return _generator_tables(letters, index.reshape(codes.shape).T, 1 << n)
 
-    The chunk grid of an ensemble depends only on its width and depth, never
-    on how many workers compute it, so every circuit is always batched with
-    the same companions and results do not depend on the worker count.
+
+def samples_per_chunk(dim: int, layers: int, lazy: bool = False) -> int:
+    """Circuits per ensemble chunk: as many circuits as fit in STACK_BYTES.
+
+    A random-Haar circuit holds L dense (D, D) layers.  With ``lazy`` Haar
+    layers (``kernels.haar_instance_kernels``) its largest array is its
+    normals, 4 L D floats; the chunk's normals fit the budget, and each of
+    its other (L, S, D) arrays takes half of it or less.  The chunk grid of
+    an ensemble depends only on its width and depth and on which of the two
+    it is, never on how many workers compute it, so every circuit is always
+    batched with the same companions and results do not depend on the worker
+    count.
     """
-    return max(1, STACK_BYTES // (max(layers, 1) * dim * dim * 16))
+    per_layer = dim * 32 if lazy else dim * dim * 16
+    return max(1, STACK_BYTES // (max(layers, 1) * per_layer))
 
 
-def chunk_grid(count: int, dim: int, layers: int) -> list[tuple[int, int]]:
+def chunk_grid(count: int, dim: int, layers: int, lazy: bool = False) -> list[tuple[int, int]]:
     """Index ranges [lo, hi) of the ensemble chunks of ``count`` circuits."""
-    step = samples_per_chunk(dim, layers)
+    step = samples_per_chunk(dim, layers, lazy)
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
@@ -286,10 +305,8 @@ def sample_random_circuits(
     """Random circuits, one per stream, each identical to ``build_random_ansatz(n, layers, stream)``."""
     codes, stack = _draw_random_layers(n, layers, streams, exclude_identity)
     if not is_unitary(stack):
-        raise ValueError("fixed layer matrix is not unitary")
-    distinct, index = np.unique(codes, return_inverse=True)
-    letters = [code_letters(n, int(c)) for c in distinct]
-    perms, phases = _generator_tables(letters, index.reshape(codes.shape).T, 1 << n)
+        raise ValueError(NOT_UNITARY)
+    perms, phases = code_tables(n, codes)
     fixed = tuple(stack[:, layer] for layer in range(layers))
     return CircuitBatch(n, len(streams), fixed, perms, phases)
 

@@ -28,7 +28,7 @@ from .circuits import (
     sample_random_circuits,
 )
 from .haar import mc_commutator_trace, mc_second_moment
-from .kernels import Observable, ensemble_kernels, forward_adjoint, random_pauli_sum
+from .kernels import Observable, ensemble_kernels, forward_adjoint, haar_instance_kernels, random_pauli_sum
 from .linalg import PauliString, RngStream, kahan_sum, pauli_matrix, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
 from .training import fit_decay_rate, gd_batch, squared_loss
@@ -92,8 +92,9 @@ _ALLOWED_KEYS = {
 
 # Largest dense arrays a config may call for, counted before anything is
 # allocated: the D x D observable plus the dense fixed layers of one circuit,
-# L Haar matrices for a random-Haar circuit and none for the hardware-efficient
-# families, whose fixed layers are identities and one permutation.
+# L Haar matrices for a random-Haar circuit, and none for lazily drawn Haar
+# layers or for the hardware-efficient families, whose fixed layers are
+# identities and one permutation.
 DENSE_BYTES_LIMIT = 2 << 30
 
 _DEFAULTS = {
@@ -295,9 +296,9 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
-    random_haar = out.get("ansatz", "random-haar") == "random-haar"
+    dense_haar = out.get("ansatz", "random-haar") == "random-haar" and not _lazy_haar(out)
     depth = max(out["layers"]) if isinstance(out["layers"], list) else out["layers"]
-    _check_dense_bytes("qubits/layers", out["qubits"], depth if random_haar else 0)
+    _check_dense_bytes("qubits/layers", out["qubits"], depth if dense_haar else 0)
     return out
 
 
@@ -434,14 +435,25 @@ def _circuit_batch(cfg: dict, layers: int, streams, shared: RngStream) -> Circui
 # qntk-stats
 
 
+def _lazy_haar(cfg: dict) -> bool:
+    """Whether the config is a random-Haar ``qntk-stats`` ensemble in ``instance`` mode.
+
+    Each of its circuits is evaluated once, so its Haar layers are drawn
+    lazily (``kernels.haar_instance_kernels``) and never held as matrices.
+    """
+    return cfg["kind"] == "qntk-stats" and cfg["resample"] == "instance" and cfg["ansatz"] == "random-haar"
+
+
 def _qntk_chunk(payload: dict, lo: int, hi: int) -> list[float]:
     cfg = payload["cfg"]
-    li = payload["layer_index"]
+    n, li, layers = cfg["qubits"], payload["layer_index"], payload["layers"]
     streams = [RngStream(cfg["seed"], (_LANE_TRIALS, li, k)) for k in range(lo, hi)]
+    obs_matrix = payload["observable"].matrix
+    if _lazy_haar(cfg):
+        return list(haar_instance_kernels(n, layers, streams, obs_matrix, zero_state(n), cfg["exclude_identity"]))
     shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ, li))
-    batch = _circuit_batch(cfg, payload["layers"], streams, shared)
-    obs = payload["observable"]
-    return list(ensemble_kernels(batch, streams, obs.matrix, zero_state(cfg["qubits"])))
+    batch = _circuit_batch(cfg, layers, streams, shared)
+    return list(ensemble_kernels(batch, streams, obs_matrix, zero_state(n)))
 
 
 def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
@@ -455,7 +467,7 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
     summary_rows = []
     for li, layers in enumerate(cfg["layers"]):
         payload = {"cfg": cfg, "layers": layers, "layer_index": li, "observable": obs}
-        grid = chunk_grid(cfg["samples"], dim, layers)
+        grid = chunk_grid(cfg["samples"], dim, layers, lazy=_lazy_haar(cfg))
         values = _map_chunks(_qntk_chunk, payload, grid, cfg["threads"])
         values = np.asarray(values)
         mean = kahan_sum(values) / len(values)

@@ -13,7 +13,9 @@ of outputs or finite differences are involved (those exist only as test oracles)
 passes run over a leading row axis (:func:`forward_adjoint`): a chunk of S
 circuits, each with P input states, costs one pass of S*P-row array
 operations per layer; a single circuit with one input is the chunk S=P=1.
-:func:`forward_adjoint` is the only place a circuit is evaluated layer by layer.
+:func:`forward_adjoint` evaluates every circuit held as a
+:class:`CircuitBatch`; :func:`haar_instance_kernels` evaluates random-Haar
+circuits that are never held at all (below).
 
 The engine has two layer paths, chosen by size alone.  When the chunk's gates,
 one dense (D, D) matrix per layer and circuit, fit ``STACK_BYTES`` (the
@@ -26,7 +28,23 @@ the input of layer l and lam_{l-1} is O U|psi0> pulled back to the same point.
 Wider or deeper chunks apply each layer's rotation and fixed unitary in turn
 instead, which needs no per-circuit dense gate.  There an identity layer is
 skipped and a permutation layer is a gather (see ``circuits``), so the
-hardware-efficient families cost O(L D) per row and pass.
+hardware-efficient families cost O(L D) per row and pass.  That loop,
+:func:`_rotation_pass`, takes the fixed layers as two functions, one per
+direction, and is the only per-layer loop besides the fused one.
+
+A random-Haar ensemble whose circuits are each evaluated once (the
+``instance`` kernels of ``qntk-stats``) plugs lazily drawn Haar layers into
+the same loop.  The adjoint method uses W_l on one vector in each direction,
+a_l forward and the co-state y backward.  By the left and right invariance of
+the Haar measure, W_l a_l is a uniform vector of norm |a_l|, and given
+W_l a_l = x, W_l^dagger y = alpha a_l + |y_perp| v with y = alpha x + y_perp
+and v uniform on the unit sphere orthogonal to a_l.  Both are drawn from
+complex Gaussians in O(D), so a circuit costs O(L D) with no QR and no D x D
+layer.  Such a circuit exists only as the vectors it was applied to, so
+every path that applies a circuit to more than one vector (training,
+``angle`` resampling, the Hessian, the P training points of ``eigen-scan``)
+keeps the dense sampler, and so does ``haar.mc_kbar``, whose draws an
+acceptance criterion fixes.
 
 The second derivative is the shift rule applied to these exact gradients.
 With a Pauli generator every gradient component has the form
@@ -44,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzSpec, CircuitBatch, ensemble_angles
-from .linalg import STACK_BYTES, PauliString, RngStream, basis_state, pauli_matrix, sample_pauli
+from .circuits import NOT_UNITARY, AnsatzSpec, CircuitBatch, code_tables, ensemble_angles
+from .linalg import STACK_BYTES, UNITARY_ATOL, PauliString, RngStream, basis_state, pauli_matrix, sample_pauli
 
 IMAG_TOL = 1e-10
 
@@ -317,16 +335,49 @@ def _layer_pass(
     batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The engine one rotation and one fixed unitary at a time, for circuits too wide for dense gates."""
-    layers, size, dim = batch.num_layers, batch.size, batch.dim
-    rows = size * points
+    fixed, pulled = batch.fixed, batch.backward_layers()
+    outputs, grads, _ = _rotation_pass(
+        theta,
+        batch.perms,
+        batch.phases,
+        psi0,
+        obs_matrix,
+        points,
+        lambda k, states: _apply(fixed[k], states),
+        lambda k, mu: _apply_transpose(pulled[k], mu),
+    )
+    return outputs, grads
+
+
+def _rotation_pass(
+    theta: np.ndarray,
+    perms: np.ndarray,
+    phases: np.ndarray,
+    psi0: np.ndarray,
+    obs_matrix: np.ndarray,
+    points: int,
+    forward,
+    backward,
+):
+    """Forward and adjoint pass over the rotations, with the fixed layers supplied by the caller.
+
+    ``perms`` and ``phases`` are the generator tables (L, S or 1, D) of a
+    :class:`CircuitBatch`.  ``forward(k, rows)`` returns W_k applied to every
+    row; ``backward(k, mu)`` returns mu W_k for conjugate rows mu, that is the
+    conjugate of W_k^dagger y for the co-state y = conj(mu).  Returns the
+    outputs, the gradients (rows, L), and the final state psi_L, the observable
+    on it lam = O psi_L, and the pulled-back conjugate co-state mu_0.
+    """
+    layers, size = theta.shape
+    rows, dim = size * points, obs_matrix.shape[0]
     theta = np.repeat(theta, points, axis=1)
-    phases = _per_row(batch.phases, points)
+    phases = _per_row(phases, points)
 
     # full (L, rows, D) factors: per-layer products then need no broadcasting
     cos = np.repeat(np.cos(theta)[:, :, None], dim, axis=2)
     isin = 1j * np.sin(theta)[:, :, None]
     # generator gathers on the flattened (rows, D) state array
-    gather = _per_row(batch.perms, points) + (np.arange(rows) * dim)[:, None]
+    gather = _per_row(perms, points) + (np.arange(rows) * dim)[:, None]
     # Forward: psi <- W (cos psi + i sin X psi), keeping the state before each
     # W.  Backward: lam = O U|psi0> pulled back layer by layer; as a row
     # vector its conjugate mu obeys mu <- cos (mu W) + i sin conj(X)(mu W),
@@ -335,24 +386,100 @@ def _layer_pass(
     tilted = np.empty((layers, rows, dim), dtype=complex)
     gathered = np.empty((layers, rows, dim), dtype=complex)
     psi = np.array(np.broadcast_to(psi0, (rows, dim)), dtype=complex)
-    for w, c, turn, index, out in zip(batch.fixed, cos, isin * phases, gather, tilted):
+    for k, (c, turn, index, out) in enumerate(zip(cos, isin * phases, gather, tilted)):
         np.multiply(c, psi, out=out)
         out += turn * psi.take(index)
-        psi = _apply(w, out)
+        psi = forward(k, out)
     lam = psi @ obs_matrix.T
     outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
     mu = lam.conj()
     conj_phases = phases.conj()
     turns = isin * conj_phases
-    backward = batch.backward_layers()
     for k in range(layers - 1, -1, -1):
-        mu = _apply_transpose(backward[k], mu)
+        mu = backward(k, mu)
         mu.take(gather[k], out=gathered[k])
         mu = cos[k] * mu + turns[k] * gathered[k]
     # d eps / d theta_k = 2 Im <tilted_k| X lam_k> = -2 Im sum(tilted_k * conj(X lam_k))
     grads = -2.0 * np.sum(tilted * conj_phases * gathered, axis=2).imag
     grads = np.ascontiguousarray(grads.T)
-    return outputs, grads
+    return outputs, grads, (psi, lam, mu)
+
+
+def _haar_image(a: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """x = W a for rows a and a fresh Haar W: |a| z/|z| with z = normals[:, 0] + i normals[:, 1].
+
+    W a is uniform on the sphere of radius |a| for any fixed a, and so is
+    |a| z/|z| for a complex Gaussian z.
+    """
+    z = normals[:, 0] + 1j * normals[:, 1]
+    scale = np.linalg.norm(a, axis=1) / np.linalg.norm(z, axis=1)
+    return z * scale[:, None]
+
+
+def _haar_pullback(a: np.ndarray, x: np.ndarray, y: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """W^dagger y for rows y, with W the Haar unitary of :func:`_haar_image` given W a = x.
+
+    Split y = alpha x + y_perp with y_perp orthogonal to x.  Then
+    W^dagger y = alpha a + |y_perp| v: given W a = x, W maps the complement of
+    a to that of x by a Haar unitary, so W^dagger y_perp is uniform on the
+    sphere of radius |y_perp| orthogonal to a.  v is a complex Gaussian from
+    ``normals`` with its a component projected out, normalised.
+    """
+    alpha = np.sum(x.conj() * y, axis=1) / np.sum(np.abs(x) ** 2, axis=1)
+    perp = y - alpha[:, None] * x
+    v = normals[:, 0] + 1j * normals[:, 1]
+    v -= (np.sum(a.conj() * v, axis=1) / np.sum(np.abs(a) ** 2, axis=1))[:, None] * a
+    scale = np.linalg.norm(perp, axis=1) / np.linalg.norm(v, axis=1)
+    return alpha[:, None] * a + scale[:, None] * v
+
+
+def haar_instance_kernels(
+    n: int, layers: int, streams, obs_matrix: np.ndarray, psi0: np.ndarray, exclude_identity: bool = True
+) -> np.ndarray:
+    """QNTK of a fresh random-Haar circuit per stream, with every Haar layer drawn lazily.
+
+    Circuit s has the distribution of ``sample_random_circuits(n, layers,
+    streams)`` at angles ``ensemble_angles(layers, streams)``, but no Haar
+    matrix is built: the adjoint method uses each W_l on one vector in each
+    direction, W_l a_l in the forward pass (:func:`_haar_image`) and
+    W_l^dagger y in the backward pass (:func:`_haar_pullback`), and both are
+    drawn exactly from the Haar measure conditioned on what is already known.
+    A circuit costs O(L D) and never exists as a whole, so it serves one
+    input state once: one kernel sample per circuit.
+
+    Stream s draws, in this order, the L generator codes in one call, the
+    forward normals (L, 2, D) in one fill and the backward normals (L, 2, D)
+    in one fill; the angles come from ``streams[s].substream(0)``.  With no
+    matrix to check, the guard is on norms: the final state must keep the
+    norm of ``psi0`` and the pulled-back co-state that of O psi_L.
+    """
+    if n < 1 or layers < 0:
+        raise ValueError("need n >= 1 and layers >= 0")
+    dim, size = 1 << n, len(streams)
+    psi0 = _check_inputs(dim, 1, np.reshape(psi0, (1, -1)), obs_matrix)[0]
+    codes = np.empty((size, layers), dtype=np.int64)
+    draws = np.empty((2, size, layers, 2, dim))
+    for s, rng in enumerate(streams):
+        codes[s] = rng.generator.integers(1 if exclude_identity else 0, 4**n, size=layers)
+        rng.generator.standard_normal(out=draws[0, s])
+        rng.generator.standard_normal(out=draws[1, s])
+    perms, phases = code_tables(n, codes)
+    inputs, images = [None] * layers, [None] * layers
+
+    def forward(k, a):
+        inputs[k], images[k] = a, _haar_image(a, draws[0, :, k])
+        return images[k]
+
+    def backward(k, mu):
+        return _haar_pullback(inputs[k], images[k], mu.conj(), draws[1, :, k]).conj()
+
+    theta = ensemble_angles(layers, streams)
+    _, grads, (psi, lam, mu) = _rotation_pass(theta, perms, phases, psi0, obs_matrix, 1, forward, backward)
+    for start, end in ((psi0, psi), (lam, mu)):
+        want, got = np.linalg.norm(start, axis=-1), np.linalg.norm(end, axis=1)
+        if not np.all(np.abs(got - want) <= UNITARY_ATOL * np.maximum(1.0, want)):
+            raise ValueError(NOT_UNITARY)
+    return np.array([qntk(g) for g in grads])
 
 
 def model_output(
@@ -538,6 +665,7 @@ __all__ = [
     "ensemble_kernels",
     "forward_adjoint",
     "gradient",
+    "haar_instance_kernels",
     "hessian_residual",
     "meta_kernel",
     "model_output",

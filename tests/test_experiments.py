@@ -472,9 +472,10 @@ def test_qntk_stats_report_contains_theory_slope(tmp_path):
 
 
 def test_chunked_outputs_byte_identical_across_threads(tmp_path):
-    # both ensembles span several chunks and end in a partial one
-    stats = validate_config(qntk_cfg(layers=[16, 64], samples=40))
-    assert len(chunk_grid(40, 4, 64)) > 1 and 40 % samples_per_chunk(4, 64) != 0
+    # both ensembles span several chunks and end in a partial one; the stats
+    # ensemble is random-Haar in instance mode, cut on the lazy grid
+    stats = validate_config(qntk_cfg(layers=[16, 64], samples=150))
+    assert len(chunk_grid(150, 4, 64, lazy=True)) > 2 and 150 % samples_per_chunk(4, 64, lazy=True) != 0
     train = validate_config(train_cfg(qubits=3, layers=64, steps=15, trials=6))
     assert len(chunk_grid(6, 8, 64)) > 1 and 6 % samples_per_chunk(8, 64) != 0
     supervised = validate_config(supervised_cfg(trials=6))
@@ -561,16 +562,19 @@ def test_non_finite_and_boolean_values_are_config_errors(tmp_path, capsys, base,
 
 
 def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path, capsys):
-    # random-Haar at 13 qubits: the observable and 64 dense layers of 1 GiB each
+    # random-Haar at 13 qubits in angle mode: the observable and 64 dense layers of 1 GiB each
+    big = qntk_cfg(qubits=13, layers=[64], observable={"kind": "random-pauli-sum"})
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(qntk_cfg(qubits=13, layers=[64], observable={"kind": "random-pauli-sum"})))
+    path.write_text(json.dumps(dict(big, resample="angle")))
     start = time.perf_counter()
     assert cli_main(["qntk-stats", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "'qubits/layers'" in err and "65.0 GiB" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
-    # the hardware-efficient families hold no dense fixed layer: only the observable counts
+    # instance mode draws its Haar layers lazily, and the hardware-efficient
+    # families hold no dense fixed layer: only the observable counts
+    assert validate_config(big)["qubits"] == 13
     hea = qntk_cfg(qubits=13, layers=[64], ansatz="hardware-efficient-cnot", observable={"kind": "random-pauli-sum"})
     assert validate_config(hea)["qubits"] == 13
     with pytest.raises(ConfigError, match="'qubits/layers'"):
