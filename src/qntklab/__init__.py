@@ -5,13 +5,11 @@ from .circuits import (
     build_hardware_efficient,
     build_random_ansatz,
     uniform_angles,
-    y_tilted_state,
 )
 from .haar import MomentEstimate, mc_commutator_trace, mc_kbar, mc_second_moment
 from .kernels import (
     NonRealExpectationError,
     Observable,
-    SupervisedProblem,
     gradient,
     hessian_residual,
     meta_kernel,
@@ -19,7 +17,6 @@ from .kernels import (
     qntk,
     random_pauli_sum,
     residual_error,
-    supervised_kernel,
 )
 from .linalg import (
     PauliString,
@@ -36,7 +33,6 @@ from .training import (
     TrainingDivergenceError,
     fit_decay_rate,
     gd_optimize,
-    gd_supervised,
 )
 from . import theory
 
@@ -49,7 +45,6 @@ __all__ = [
     "Observable",
     "PauliString",
     "RngStream",
-    "SupervisedProblem",
     "Trajectory",
     "TrainingConfig",
     "TrainingDivergenceError",
@@ -58,7 +53,6 @@ __all__ = [
     "build_random_ansatz",
     "fit_decay_rate",
     "gd_optimize",
-    "gd_supervised",
     "gradient",
     "haar_unitary",
     "hessian_residual",
@@ -72,9 +66,7 @@ __all__ = [
     "random_pauli_sum",
     "residual_error",
     "sample_pauli",
-    "supervised_kernel",
     "theory",
     "uniform_angles",
-    "y_tilted_state",
     "zero_state",
 ]

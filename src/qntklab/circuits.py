@@ -394,15 +394,6 @@ def build_hardware_efficient(
     return AnsatzSpec(n, tuple(gens), tuple(fixed))
 
 
-def y_tilted_state(n: int, angle: float = np.pi / 8) -> np.ndarray:
-    """Product state (exp(-i angle Y)|0>)^n used by the 4-qubit hardware runs."""
-    single = np.array([np.cos(angle), np.sin(angle)], dtype=complex)
-    psi = single
-    for _ in range(n - 1):
-        psi = np.kron(psi, single)
-    return psi
-
-
 def uniform_angles(layers: int, rng: RngStream) -> np.ndarray:
     """Initial angles drawn independently and uniformly from [0, 2*pi)."""
     return rng.generator.uniform(0.0, 2.0 * np.pi, size=layers)
@@ -425,6 +416,5 @@ __all__ = [
     "sample_random_circuits",
     "samples_per_chunk",
     "uniform_angles",
-    "y_tilted_state",
     "zero_state",
 ]

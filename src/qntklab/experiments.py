@@ -28,7 +28,7 @@ from .circuits import (
     sample_random_circuits,
 )
 from .haar import mc_commutator_trace, mc_second_moment
-from .kernels import Observable, ensemble_kernels, forward_adjoint, haar_instance_kernels, random_pauli_sum
+from .kernels import Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum, supervised_kernels
 from .linalg import PauliString, RngStream, kahan_sum, pauli_matrix, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
 from .training import fit_decay_rate, gd_batch, squared_loss
@@ -90,11 +90,12 @@ _ALLOWED_KEYS = {
     "decay-fit": _COMMON_KEYS | {"input", "burn_in", "floor"},
 }
 
-# Largest dense arrays a config may call for, counted before anything is
-# allocated: the D x D observable plus the dense fixed layers of one circuit,
-# L Haar matrices for a random-Haar circuit, and none for lazily drawn Haar
-# layers or for the hardware-efficient families, whose fixed layers are
-# identities and one permutation.
+# Largest arrays a config may call for, counted before anything is
+# allocated: the D x D observable, the dense fixed layers of one circuit (L
+# Haar matrices for a random-Haar circuit on the dense sampler, none for
+# lazily drawn Haar layers or for the hardware-efficient families, whose
+# fixed layers are identities and one permutation), and the (L, D) arrays
+# the engine keeps per row of one circuit.
 DENSE_BYTES_LIMIT = 2 << 30
 
 _DEFAULTS = {
@@ -152,16 +153,23 @@ def _as_number(key: str, value, positive: bool = False, minimum: float | None = 
     return value
 
 
-def _check_dense_bytes(key: str, qubits: int, dense_layers: int):
-    """Refuse a config whose dense arrays would exceed DENSE_BYTES_LIMIT."""
-    estimate = (1 + dense_layers) * (16 << (2 * qubits))
+def _check_dense_bytes(key: str, qubits: int, dense_layers: int = 0, row_vectors: int = 0):
+    """Refuse a config whose arrays would exceed DENSE_BYTES_LIMIT.
+
+    Counts the observable and ``dense_layers`` dense (D, D) matrices, plus
+    ``row_vectors`` complex (D,) vectors.  Past a few hundred qubits the
+    estimate is infinite in the message anyway, so the width is capped there
+    to keep the integer shifts small.
+    """
+    width = min(qubits, 512)
+    estimate = (1 + dense_layers) * (16 << (2 * width)) + row_vectors * (16 << width)
     if estimate > DENSE_BYTES_LIMIT:
         # Python ints of any size; only the message needs a float
         gib = estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
         _fail(
             key,
-            f"needs about {gib:.1f} GiB of dense arrays (the observable and "
-            f"{dense_layers} dense fixed layers of one circuit at {qubits} qubits); "
+            f"needs about {gib:.1f} GiB (the observable, {dense_layers} dense fixed layers and "
+            f"{row_vectors} state vectors of one circuit at {qubits} qubits); "
             f"the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
         )
 
@@ -261,6 +269,8 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         return out
 
     out["qubits"] = _as_int("qubits", _require(cfg, "qubits"), minimum=1)
+    # the observable alone, before any later check shifts by the width
+    _check_dense_bytes("qubits", out["qubits"])
     out["observable"] = _validate_observable(_require(cfg, "observable"))
     _check_observable_width(out["observable"], out["qubits"])
 
@@ -292,13 +302,26 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         if ansatz not in ("random-haar", "hardware-efficient-cphase", "hardware-efficient-cnot"):
             _fail("ansatz", f"unknown ansatz family {ansatz!r}")
         out["ansatz"] = ansatz
+        if ansatz != "random-haar":
+            # the hardware-efficient builders need an entangler and at least one block
+            _as_int("qubits", out["qubits"], minimum=2)
+            (_as_ints if isinstance(out["layers"], list) else _as_int)("layers", out["layers"], minimum=1)
     if kind != "haar-check":
         out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
-    dense_haar = out.get("ansatz", "random-haar") == "random-haar" and not _lazy_haar(out)
+    # Per row the engine keeps two complex (L, D) arrays, the states and
+    # co-states of every layer; lazy Haar layers add their forward and
+    # backward normals, each (L, 2, D) floats.  L counts rotation layers (a
+    # hardware-efficient block has 3n of them for cnot, 2n - 1 for cphase),
+    # and the supervised kinds give a circuit one row per training point.
+    ansatz, n = out.get("ansatz", "random-haar"), out["qubits"]
+    lazy = _lazy_haar(out)
     depth = max(out["layers"]) if isinstance(out["layers"], list) else out["layers"]
-    _check_dense_bytes("qubits/layers", out["qubits"], depth if dense_haar else 0)
+    layers = depth * {"hardware-efficient-cnot": 3 * n, "hardware-efficient-cphase": 2 * n - 1}.get(ansatz, 1)
+    rows = out.get("train_size", max(out.get("train_sizes", [1])))
+    dense_layers = layers if ansatz == "random-haar" and not lazy else 0
+    _check_dense_bytes("qubits/layers", n, dense_layers, (4 if lazy else 2) * layers * rows)
     return out
 
 
@@ -623,7 +646,7 @@ def run_train_supervised(cfg: dict, out_dir: Path) -> int:
     dim = 1 << cfg["qubits"]
     # basis features |d>, d < train_size, are orthogonal (train_size <= D is validated)
     features = np.eye(dim, dtype=complex)[: cfg["train_size"]]
-    payload = {"cfg": cfg, "observable": obs, "features": features, "target": labels[:, None]}
+    payload = {"cfg": cfg, "observable": obs, "features": features, "target": labels}
     grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
     results = _map_chunks(_descent_chunk, payload, grid, cfg["threads"])
     diverged = [k for k, r in enumerate(results) if r["diverged"]]
@@ -675,10 +698,8 @@ def _eigen_chunk(payload: dict, lo: int, hi: int) -> list[tuple[float, np.ndarra
     n, layers, size = cfg["qubits"], cfg["layers"], payload["train_size"]
     streams = [RngStream(cfg["seed"], (_LANE_TRIALS, payload["size_index"], k)) for k in range(lo, hi)]
     batch = sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
-    psi0 = np.tile(np.eye(1 << n, dtype=complex)[:size], (len(streams), 1))
-    _, grads = forward_adjoint(batch, ensemble_angles(layers, streams), psi0, payload["observable"].matrix)
-    grads = grads.reshape(len(streams), size, layers)
-    kernels = grads @ grads.swapaxes(1, 2)
+    features = np.eye(1 << n, dtype=complex)[:size]
+    kernels = supervised_kernels(batch, ensemble_angles(layers, streams), features, payload["observable"].matrix)
     return list(zip(np.linalg.eigvalsh(kernels)[:, 0], kernels))
 
 

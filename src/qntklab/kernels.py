@@ -13,6 +13,8 @@ of outputs or finite differences are involved (those exist only as test oracles)
 passes run over a leading row axis (:func:`forward_adjoint`): a chunk of S
 circuits, each with P input states, costs one pass of S*P-row array
 operations per layer; a single circuit with one input is the chunk S=P=1.
+The supervised kernel of a circuit over P training points
+(:func:`supervised_kernels`) is the Gram matrix of its P gradient rows.
 :func:`forward_adjoint` evaluates every circuit held as a
 :class:`CircuitBatch`; :func:`haar_instance_kernels` evaluates random-Haar
 circuits that are never held at all (below).
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import NOT_UNITARY, AnsatzSpec, CircuitBatch, code_tables, ensemble_angles
-from .linalg import STACK_BYTES, UNITARY_ATOL, PauliString, RngStream, basis_state, pauli_matrix, sample_pauli
+from .linalg import STACK_BYTES, UNITARY_ATOL, PauliString, RngStream, pauli_matrix, sample_pauli
 
 IMAG_TOL = 1e-10
 
@@ -89,11 +91,6 @@ def _real_rows(values: np.ndarray, tol: float = IMAG_TOL) -> np.ndarray:
             f"expectation has imaginary part {values[bad][0].imag:.3e} (tol {tol:.0e})"
         )
     return values.real
-
-
-def real_expectation(matrix: np.ndarray, psi: np.ndarray, tol: float = IMAG_TOL) -> float:
-    """<psi|M|psi> with a guard on the imaginary residue (see :func:`_real_rows`)."""
-    return float(_real_rows(np.array([np.vdot(psi, matrix @ psi)]), tol)[0])
 
 
 @dataclass(frozen=True)
@@ -556,112 +553,29 @@ def meta_kernel(grad: np.ndarray, hessian: np.ndarray) -> float:
     return float(grad @ hessian @ grad)
 
 
-@dataclass
-class SupervisedProblem:
-    """Feature states, labels, and observables for a squared-loss task.
-
-    ``features`` holds one normalized state per data point (rows);
-    ``labels[d, i]`` is the target for observable i on data point d;
-    ``train_indices`` selects the training subset.
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    observables: tuple[Observable, ...]
-    train_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=complex)
-        self.labels = np.asarray(self.labels, dtype=float)
-        self.observables = tuple(self.observables)
-        self.train_indices = tuple(int(i) for i in self.train_indices)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a (num_data, dim) array")
-        if self.labels.shape != (self.features.shape[0], len(self.observables)):
-            raise ValueError("labels must have shape (num_data, num_observables)")
-        if not self.train_indices:
-            raise ValueError("training set is empty")
-        norms = np.linalg.norm(self.features, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ValueError("feature states must be normalized")
-
-    @property
-    def num_outputs(self) -> int:
-        return len(self.observables)
-
-    @property
-    def train_size(self) -> int:
-        return len(self.train_indices)
-
-    @classmethod
-    def with_basis_features(
-        cls,
-        n: int,
-        labels: np.ndarray,
-        observables: tuple[Observable, ...],
-    ) -> "SupervisedProblem":
-        """Computational-basis feature map |d> for d = 0..size-1.
-
-        Basis features make distinct data points exactly orthogonal, which is
-        the regime the closed-form kernel spectrum applies to; it requires the
-        training-set size to fit inside the Hilbert space.
-        """
-        labels = np.asarray(labels, dtype=float)
-        if labels.ndim == 1:
-            labels = labels[:, None]
-        size = labels.shape[0]
-        dim = 1 << n
-        if size > dim:
-            raise ValueError(f"training size {size} exceeds Hilbert dimension {dim}")
-        feats = np.stack([basis_state(n, d) for d in range(size)])
-        return cls(feats, labels, tuple(observables), tuple(range(size)))
-
-
-def outputs_and_gradients(
-    ansatz: AnsatzSpec, theta: np.ndarray, prob: SupervisedProblem
-) -> tuple[np.ndarray, np.ndarray]:
-    """Model outputs z and the (rows x L) matrix of their exact derivatives.
-
-    One engine call per observable covers a block of training points as the
-    rows of the one circuit (S=1, P points).  The engine keeps (L, points, D)
-    state arrays, so a block holds as many points as fit those in
-    STACK_BYTES: all of them for small circuits, one at a time for wide and
-    deep ones.
-    """
-    theta = ansatz.check_parameters(theta)
-    feats = prob.features[list(prob.train_indices)]
-    points = len(feats)
-    step = max(1, STACK_BYTES // (max(ansatz.num_layers, 1) * ansatz.dim * 16))
-    rows = points * prob.num_outputs
-    z = np.empty((points, prob.num_outputs))
-    grads = np.empty((points, prob.num_outputs, ansatz.num_layers))
-    batch = ansatz.batch()
-    for lo in range(0, points, step):
-        for i, obs in enumerate(prob.observables):
-            z[lo : lo + step, i], grads[lo : lo + step, i] = forward_adjoint(
-                batch, theta[:, None], feats[lo : lo + step], obs.matrix
-            )
-    # data-major rows: (d_1, i_1), (d_1, i_2), ..., (d_2, i_1), ...
-    return z.reshape(rows), grads.reshape(rows, ansatz.num_layers)
-
-
-def supervised_kernel(
-    ansatz: AnsatzSpec, theta: np.ndarray, prob: SupervisedProblem
+def supervised_kernels(
+    batch: CircuitBatch, theta: np.ndarray, features: np.ndarray, obs_matrix: np.ndarray
 ) -> np.ndarray:
-    """Gram matrix of output gradients over the joint (data, output) index.
+    """Supervised kernels K_s[d, e] = grad z_s(x_d) . grad z_s(x_e) of S circuits over P points.
 
-    Row ordering is data-major: (d_1, i_1), (d_1, i_2), ..., (d_2, i_1), ...
-    The result is symmetric positive semi-definite by construction.
+    ``theta`` has shape (L, S) and ``features`` (P, D) holds one normalized
+    input state per training point; every circuit serves all P of them as its
+    rows, in one engine call.  Returns (S, P, P) Gram matrices of the output
+    gradients, symmetric positive semi-definite by construction.  For one
+    circuit alone, pass ``ansatz.batch()`` and ``theta[:, None]``.
     """
-    _, grads = outputs_and_gradients(ansatz, theta, prob)
-    return grads @ grads.T
+    features = np.asarray(features)
+    points, layers = len(features), batch.num_layers
+    psi0 = np.tile(features, (batch.size, 1))
+    _, grads = forward_adjoint(batch, theta, psi0, obs_matrix)
+    grads = grads.reshape(batch.size, points, layers)
+    return grads @ grads.swapaxes(1, 2)
 
 
 __all__ = [
     "IMAG_TOL",
     "NonRealExpectationError",
     "Observable",
-    "SupervisedProblem",
     "ensemble_kernels",
     "forward_adjoint",
     "gradient",
@@ -669,10 +583,8 @@ __all__ = [
     "hessian_residual",
     "meta_kernel",
     "model_output",
-    "outputs_and_gradients",
     "qntk",
     "random_pauli_sum",
-    "real_expectation",
     "residual_error",
-    "supervised_kernel",
+    "supervised_kernels",
 ]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import AnsatzSpec, CircuitBatch, uniform_angles
-from .kernels import Observable, SupervisedProblem, forward_adjoint, qntk
+from .kernels import Observable, forward_adjoint, qntk
 from .linalg import RngStream
 
 
@@ -47,16 +47,13 @@ class TrainingConfig:
 class Trajectory:
     """Per-step record of a gradient-descent run.
 
-    ``errors`` holds the residual error (or, for supervised runs, the total
-    loss) at steps 0..T; ``kernels`` the matching kernel values.  ``residuals``
-    is only populated by supervised runs and holds the per-(sample, output)
-    residual at every step.
+    ``errors`` holds the residual error at steps 0..T and ``kernels`` the
+    matching kernel values.
     """
 
     errors: np.ndarray
     kernels: np.ndarray
     parameters: np.ndarray | None = None
-    residuals: np.ndarray | None = None
 
     def __post_init__(self):
         self.errors = np.asarray(self.errors, dtype=float)
@@ -101,66 +98,40 @@ def gd_batch(
 
     ``theta0`` has shape (S, L).  ``psi0`` is one input state (D,) for all
     circuits or P states per circuit (S*P, D), as in :func:`forward_adjoint`;
-    ``obs_matrix`` is one observable (D, D) or K of them (K, D, D), and
-    ``target`` broadcasts against the (S, P, K) outputs.  Every step is one
-    engine call per observable for all S*P rows.  Returns ``(residuals,
-    kernels, parameters, diverged)``: residuals of shape (S, T+1, P*K) in
-    data-major order, the trace of each circuit's supervised kernel (S, T+1),
-    parameters (S, T+1, L) or None, and a dict from the index of each circuit
-    whose loss or angles turned non-finite to the message
-    :func:`gd_optimize` raises for it alone.  A diverged circuit keeps its
-    rows; rows of different circuits never mix, so it cannot disturb the
-    others.
+    ``obs_matrix`` is one observable (D, D), and ``target`` broadcasts against
+    the (S, P) outputs: a scalar, or one label per training point (P,).
+    Every step is one engine call for all S*P rows.  Returns ``(residuals,
+    kernels, parameters, diverged)``: residuals of shape (S, T+1, P), the
+    trace of each circuit's supervised kernel (S, T+1), parameters
+    (S, T+1, L) or None, and a dict from the index of each circuit whose loss
+    or angles turned non-finite to the message :func:`gd_optimize` raises for
+    it alone.  A diverged circuit keeps its rows; rows of different circuits
+    never mix, so it cannot disturb the others.
     """
-    matrices = [obs_matrix] if np.ndim(obs_matrix) == 2 else list(obs_matrix)
     theta = np.array(theta0, dtype=float)
     size, layers = batch.size, batch.num_layers
     psi0 = np.asarray(psi0)
     points = len(psi0) // size if psi0.ndim == 2 else 1
-    width = points * len(matrices)
-    outputs = np.empty((size * points, len(matrices)))
-    grads = np.empty((size * points, len(matrices), layers))
-    residuals = np.empty((size, steps + 1, width))
+    residuals = np.empty((size, steps + 1, points))
     kernels = np.empty((size, steps + 1))
     params = np.empty((size, steps + 1, layers)) if record_parameters else None
     diverged: dict[int, str] = {}
     # overflow is detected explicitly and reported as divergence, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps + 1):
-            for i, m in enumerate(matrices):
-                outputs[:, i], grads[:, i] = forward_adjoint(batch, theta.T, psi0, m)
-            # data-major rows per circuit: (point 1, observable 1), (point 1, observable 2), ...
-            eps = (outputs.reshape(size, points, -1) - target).reshape(size, width)
+            outputs, grads = forward_adjoint(batch, theta.T, psi0, obs_matrix)
+            eps = outputs.reshape(size, points) - target
             finite = np.isfinite(squared_loss(eps)) & np.isfinite(theta).all(axis=1)
             for s in np.flatnonzero(~finite):
                 diverged.setdefault(int(s), _divergence_message(t))
             if len(diverged) == size:
                 break
             residuals[:, t] = eps
-            rows = grads.reshape(size * width, layers)
-            kernels[:, t] = np.reshape([qntk(g) for g in rows], (size, width)).sum(axis=1)
+            kernels[:, t] = np.reshape([qntk(g) for g in grads], (size, points)).sum(axis=1)
             if params is not None:
                 params[:, t] = theta
-            theta = theta - learning_rate * (eps[:, :, None] * rows.reshape(size, width, layers)).sum(axis=1)
+            theta = theta - learning_rate * (eps[:, :, None] * grads.reshape(size, points, layers)).sum(axis=1)
     return residuals, kernels, params, diverged
-
-
-def _descend(ansatz: AnsatzSpec, cfg: TrainingConfig, obs_matrix, target, psi0):
-    """One circuit through :func:`gd_batch`; its divergence is raised."""
-    theta0 = _initial_angles(ansatz.num_layers, cfg)
-    residuals, kernels, params, diverged = gd_batch(
-        ansatz.batch(),
-        obs_matrix,
-        target,
-        psi0,
-        theta0[None, :],
-        cfg.learning_rate,
-        cfg.steps,
-        cfg.record_parameters,
-    )
-    if diverged:
-        raise TrainingDivergenceError(diverged[0])
-    return residuals[0], kernels[0], None if params is None else params[0]
 
 
 def gd_optimize(
@@ -170,27 +141,23 @@ def gd_optimize(
 
     Records the residual and kernel at every step including t=0 (T+1 entries
     for T update steps).  A start at exactly zero residual is a valid fixed
-    point and yields a flat trajectory.
+    point and yields a flat trajectory.  This is :func:`gd_batch` on the one
+    circuit; its divergence is raised.
     """
-    residuals, kernels, params = _descend(ansatz, cfg, obs.matrix, obs.target, psi0)
-    return Trajectory(residuals[:, 0], kernels, parameters=params)
-
-
-def gd_supervised(
-    ansatz: AnsatzSpec, prob: SupervisedProblem, cfg: TrainingConfig
-) -> Trajectory:
-    """Gradient descent on the summed squared residuals of a supervised task.
-
-    ``errors`` records the total loss (which is not guaranteed monotone at
-    finite learning rate); ``kernels`` the trace of the supervised kernel,
-    which reduces to the scalar kernel for one sample and one output.  The
-    training points are the rows of one circuit in :func:`gd_batch`.
-    """
-    train = list(prob.train_indices)
-    residuals, kernels, params = _descend(
-        ansatz, cfg, [o.matrix for o in prob.observables], prob.labels[train], prob.features[train]
+    theta0 = _initial_angles(ansatz.num_layers, cfg)
+    residuals, kernels, params, diverged = gd_batch(
+        ansatz.batch(),
+        obs.matrix,
+        obs.target,
+        psi0,
+        theta0[None, :],
+        cfg.learning_rate,
+        cfg.steps,
+        cfg.record_parameters,
     )
-    return Trajectory(squared_loss(residuals), kernels, parameters=params, residuals=residuals)
+    if diverged:
+        raise TrainingDivergenceError(diverged[0])
+    return Trajectory(residuals[0, :, 0], kernels[0], parameters=None if params is None else params[0])
 
 
 def fit_decay_rate(
@@ -229,6 +196,5 @@ __all__ = [
     "fit_decay_rate",
     "gd_batch",
     "gd_optimize",
-    "gd_supervised",
     "squared_loss",
 ]

@@ -16,7 +16,6 @@ from qntklab import (
     Observable,
     PauliString,
     RngStream,
-    SupervisedProblem,
     build_random_ansatz,
     fit_decay_rate,
     gradient,
@@ -26,13 +25,12 @@ from qntklab import (
     mc_second_moment,
     meta_kernel,
     random_pauli_sum,
-    supervised_kernel,
     uniform_angles,
     zero_state,
 )
 from qntklab.circuits import chunk_grid, ensemble_angles, sample_random_circuits
 from qntklab.experiments import run_experiment, validate_config
-from qntklab.kernels import ensemble_kernels
+from qntklab.kernels import ensemble_kernels, supervised_kernels
 from qntklab.linalg import pauli_matrix
 from qntklab.theory import kbar_exact, kernel_eigenvalues
 from qntklab.training import gd_batch
@@ -176,8 +174,7 @@ def _eigen_protocol(seed: int):
             sub = rng.substream(size * 1000 + t)
             ansatz = build_random_ansatz(n, layers, sub)
             theta = uniform_angles(layers, sub.substream(0))
-            prob = SupervisedProblem.with_basis_features(n, np.zeros(size), (obs,))
-            acc += supervised_kernel(ansatz, theta, prob)
+            acc += supervised_kernels(ansatz.batch(), theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
         lowest = float(np.linalg.eigvalsh(acc / 50)[0])
         rel = abs(lowest - theory) / theory if theory > 0 else abs(lowest)
         worst = max(worst, rel)
@@ -296,8 +293,7 @@ def test_criterion_8_kernel_psd_and_symmetry():
             obs = random_pauli_sum(n, 6, rng.substream(1))
             theta = uniform_angles(12, rng.substream(2))
             size = 1 + int(rng.substream(3).generator.integers(0, dim))
-            prob = SupervisedProblem.with_basis_features(n, np.zeros(size), (obs,))
-            kernel = supervised_kernel(ansatz, theta, prob)
+            kernel = supervised_kernels(ansatz.batch(), theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
             worst_asym = max(worst_asym, float(np.max(np.abs(kernel - kernel.T))))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(kernel)[0]))
             count += 1

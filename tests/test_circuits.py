@@ -13,7 +13,6 @@ from qntklab.circuits import (
     dense_layer,
     sample_random_circuits,
     uniform_angles,
-    y_tilted_state,
 )
 from qntklab.linalg import (
     PauliString,
@@ -187,14 +186,6 @@ def test_cnot_chain_matrix():
     # control qubit 0, target qubit 1 in the leftmost-is-qubit-0 convention
     expected = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
     assert np.array_equal(chain, expected)
-
-
-def test_y_tilted_state():
-    psi = y_tilted_state(4)
-    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
-    single = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
-    expected = np.kron(np.kron(single, single), np.kron(single, single))
-    assert np.allclose(psi, expected, atol=1e-14)
 
 
 def test_spec_arrays_are_read_only():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qntklab.experiments import (
     EXIT_ALL_DIVERGED,
@@ -19,10 +21,10 @@ from qntklab.experiments import (
     validate_config,
 )
 from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk, uniform_angles
-from qntklab.experiments import _LANE_TRIALS, _eigen_chunk
-from qntklab.kernels import SupervisedProblem, supervised_kernel
+from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _eigen_chunk
+from qntklab.kernels import supervised_kernels
 from qntklab.linalg import RngStream
-from qntklab.training import TrainingConfig, gd_supervised
+from qntklab.training import gd_batch, squared_loss
 from qntklab.cli import main as cli_main
 from qntklab.haar import MomentEstimate
 
@@ -281,17 +283,17 @@ def test_train_supervised_trials_match_the_library(tmp_path):
     cfg = validate_config(supervised_cfg())
     assert run_experiment(cfg, tmp_path) == EXIT_OK
     obs = realize_observable(cfg)
-    labels = json.loads((tmp_path / "report.json").read_text())["labels"]
-    prob = SupervisedProblem.with_basis_features(3, np.array(labels), (obs,))
+    labels = np.array(json.loads((tmp_path / "report.json").read_text())["labels"])
+    features = np.eye(8, dtype=complex)[:5]
     for k in range(cfg["trials"]):
         stream = RngStream(cfg["seed"], (_LANE_TRIALS, k))
-        ansatz = build_random_ansatz(3, 64, stream)
-        tcfg = TrainingConfig(cfg["eta"], cfg["steps"], init_angles=uniform_angles(64, stream.substream(0)))
-        reference = gd_supervised(ansatz, prob, tcfg)
+        batch = build_random_ansatz(3, 64, stream).batch()
+        theta0 = uniform_angles(64, stream.substream(0))[None, :]
+        residuals, kernels, _, _ = gd_batch(batch, obs.matrix, labels, features, theta0, cfg["eta"], cfg["steps"])
         lines = (tmp_path / "trials" / f"trial_{k}.csv").read_text().splitlines()[2:]
         table = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
-        assert np.max(np.abs(table[:, 0] / reference.errors - 1.0)) <= 1e-12
-        assert np.max(np.abs(table[:, 1] / reference.kernels - 1.0)) <= 1e-12
+        assert np.max(np.abs(table[:, 0] / squared_loss(residuals[0]) - 1.0)) <= 1e-12
+        assert np.max(np.abs(table[:, 1] / kernels[0] - 1.0)) <= 1e-12
 
 
 def test_eigen_scan_trials_match_the_library(tmp_path):
@@ -301,12 +303,13 @@ def test_eigen_scan_trials_match_the_library(tmp_path):
     for si, size in enumerate(cfg["train_sizes"]):
         payload = {"cfg": cfg, "observable": obs, "train_size": size, "size_index": si}
         chunked = _eigen_chunk(payload, 0, cfg["trials"])
-        prob = SupervisedProblem.with_basis_features(3, np.zeros(size), (obs,))
+        features = np.eye(8, dtype=complex)[:size]
         lines = (tmp_path / "trials" / f"trial_{si}.csv").read_text().splitlines()[2:]
         for k, (lowest, kernel) in enumerate(chunked):
             stream = RngStream(cfg["seed"], (_LANE_TRIALS, si, k))
-            ansatz = build_random_ansatz(3, 64, stream)
-            reference = supervised_kernel(ansatz, uniform_angles(64, stream.substream(0)), prob)
+            batch = build_random_ansatz(3, 64, stream).batch()
+            theta = uniform_angles(64, stream.substream(0))[:, None]
+            reference = supervised_kernels(batch, theta, features, obs.matrix)[0]
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(kernel - reference)) <= 1e-12 * scale
             assert abs(float(lines[k].split(",")[1]) - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
@@ -584,3 +587,119 @@ def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path,
     # a width far beyond any float still gives the config error, not an overflow
     with pytest.raises(ConfigError, match="inf GiB"):
         validate_config(qntk_cfg(qubits=600, layers=[1], observable={"kind": "random-pauli-sum"}))
+
+
+def test_engine_row_arrays_count_toward_the_memory_limit():
+    # one complex (L, D) array at 13 qubits and L = 100000 is 12.2 GiB: the
+    # lazy sampler and the hardware-efficient families hold no dense layer,
+    # but their per-layer states are refused all the same
+    for ansatz in ("random-haar", "hardware-efficient-cnot"):
+        with pytest.raises(ConfigError, match="'qubits/layers'"):
+            validate_config(qntk_cfg(qubits=13, layers=[100000], ansatz=ansatz, observable=_RANDOM))
+    # the hardware-efficient layer count is depth * 3n: about 1.6 GiB here
+    assert validate_config(qntk_cfg(qubits=13, layers=[64], ansatz="hardware-efficient-cnot", observable=_RANDOM))
+    with pytest.raises(ConfigError, match="'qubits/layers'"):
+        validate_config(qntk_cfg(qubits=13, layers=[128], ansatz="hardware-efficient-cnot", observable=_RANDOM))
+    # the supervised kinds keep one row per training point
+    wide = supervised_cfg(qubits=12, layers=4, ansatz="hardware-efficient-cnot", train_size=2)
+    assert validate_config(wide)
+    with pytest.raises(ConfigError, match="'qubits/layers'"):
+        validate_config(dict(wide, train_size=4096))
+    with pytest.raises(ConfigError, match="'qubits/layers'"):
+        validate_config(scan_cfg(qubits=12, layers=4, train_sizes=[2, 4096]))
+
+
+_HEA_BASES = {
+    "qntk-stats": dict(_QNTK, observable=_RANDOM),
+    "train": dict(_TRAIN, observable=_RANDOM),
+    "train-supervised": supervised_cfg(qubits=2, layers=4, steps=3, trials=1, train_size=2),
+}
+_HEA_FAULTS = {"one-qubit": ({"qubits": 1}, "qubits"), "zero-depth": ({"layers": 0}, "layers")}
+
+
+@pytest.mark.parametrize("ansatz", ["hardware-efficient-cnot", "hardware-efficient-cphase"])
+@pytest.mark.parametrize("fault", sorted(_HEA_FAULTS))
+@pytest.mark.parametrize("kind", sorted(_HEA_BASES))
+def test_hardware_efficient_config_the_builder_cannot_make_is_a_config_error(
+    tmp_path, capsys, kind, fault, ansatz
+):
+    # the builders need two qubits and one block; validation refuses both before any work
+    override, key = _HEA_FAULTS[fault]
+    raw = dict(_HEA_BASES[kind], ansatz=ansatz, **override)
+    if kind == "qntk-stats" and key == "layers":
+        raw["layers"], key = [2, 0], "layers[1]"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([kind, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# one valid config per kind, for the fuzz test below
+_VALID = {
+    "qntk-stats": _QNTK,
+    "train": _TRAIN,
+    "train-supervised": supervised_cfg(qubits=2, layers=4, steps=3, trials=1, train_size=2),
+    "eigen-scan": _SCAN,
+    "haar-check": _HAAR,
+    "decay-fit": {"kind": "decay-fit", "input": "trials", "seed": 1},
+}
+_OBSERVABLE_KEYS = ["kind", "terms", "num_terms", "coeff_low", "coeff_high", "target", "bogus"]
+_NEW_KEYS = sorted(set().union(*_ALLOWED_KEYS.values()) | set(_OBSERVABLE_KEYS))
+_WORDS = [
+    "instance", "angle", "random-haar", "hardware-efficient-cnot", "hardware-efficient-cphase",
+    "pauli-sum", "random-pauli-sum", "ZZ", "XYZ", "Z", "", *_VALID,
+]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-3, 20),
+    st.floats(),
+    st.sampled_from(_WORDS),
+    st.text(max_size=3),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_OBSERVABLE_KEYS), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _containers(node, path=()):
+    """Paths of every dict and list inside a JSON value, the value itself first."""
+    if isinstance(node, (dict, list)):
+        yield path
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _containers(child, path + (key,))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(kind=st.sampled_from(sorted(_VALID)), data=st.data())
+def test_validate_config_returns_or_names_the_key(kind, data):
+    # edits anywhere in a valid config (a key or list entry replaced, deleted
+    # or added, at any depth) are either accepted or refused with a message
+    # naming a key; validation only, nothing is run
+    raw = json.loads(json.dumps(_VALID[kind]))
+    for _ in range(data.draw(st.integers(1, 4))):
+        path = data.draw(st.sampled_from(list(_containers(raw))))
+        node = raw
+        for step in path:
+            node = node[step]
+        if isinstance(node, dict):
+            key = data.draw(st.sampled_from(sorted(node, key=str) + _NEW_KEYS))
+        elif node:
+            key = data.draw(st.integers(0, len(node) - 1))
+        else:
+            continue
+        if data.draw(st.booleans()) and (isinstance(node, dict) or len(node) > 1):
+            node.pop(key, None) if isinstance(node, dict) else node.pop(key)
+        else:
+            node[key] = data.draw(_JSON)
+    try:
+        validate_config(raw)
+    except ConfigError as exc:
+        assert re.match(r"config key '[^']+'", str(exc)), str(exc)

@@ -3,13 +3,7 @@ import pytest
 
 from qntklab.circuits import build_hardware_efficient, build_random_ansatz, uniform_angles
 from qntklab.haar import MomentEstimate, mc_commutator_trace, mc_kbar, mc_second_moment
-from qntklab.kernels import (
-    Observable,
-    SupervisedProblem,
-    gradient,
-    qntk,
-    supervised_kernel,
-)
+from qntklab.kernels import Observable, gradient, qntk, supervised_kernels
 from qntklab.linalg import PauliString, RngStream, haar_unitary, pauli_matrix, zero_state
 from qntklab.theory import delta_k, kbar_exact, supervised_kbar
 
@@ -115,7 +109,7 @@ def test_mc_kbar_returns_samples_when_asked():
 def test_supervised_kernel_entry_means_match_closed_forms():
     # diagonal (overlapping features) and off-diagonal (orthogonal features)
     # entries of the ensemble-averaged kernel against the exact formulas
-    prob = SupervisedProblem.with_basis_features(2, np.zeros(2), (ZZ,))
+    features = np.eye(4, dtype=complex)[:2]
     rng = RngStream(401)
     diag = np.empty(1500)
     off = np.empty(1500)
@@ -123,7 +117,7 @@ def test_supervised_kernel_entry_means_match_closed_forms():
         sub = rng.substream(s)
         ansatz = build_random_ansatz(2, 16, sub)
         theta = uniform_angles(16, sub.substream(0))
-        kernel = supervised_kernel(ansatz, theta, prob)
+        kernel = supervised_kernels(ansatz.batch(), theta[:, None], features, ZZ.matrix)[0]
         diag[s] = kernel[0, 0]
         off[s] = kernel[0, 1]
     z_diag = (diag.mean() - supervised_kbar(4, 16, 1.0, 4.0).exact) / (diag.std(ddof=1) / np.sqrt(1500))

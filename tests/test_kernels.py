@@ -11,23 +11,22 @@ from qntklab.circuits import (
     CircuitBatch,
     build_hardware_efficient,
     build_random_ansatz,
+    ensemble_angles,
+    sample_random_circuits,
     uniform_angles,
 )
 from qntklab.kernels import (
     NonRealExpectationError,
     Observable,
-    SupervisedProblem,
     forward_adjoint,
     gradient,
     hessian_residual,
     meta_kernel,
     model_output,
-    outputs_and_gradients,
     qntk,
     random_pauli_sum,
-    real_expectation,
     residual_error,
-    supervised_kernel,
+    supervised_kernels,
 )
 from qntklab.linalg import (
     PauliString,
@@ -203,12 +202,10 @@ def test_qntk_basics():
 
 def test_zero_layer_supervised_kernel_is_zero():
     empty = build_random_ansatz(2, 0, RngStream(3))
-    second = Observable(((1.0, PauliString("XX")),))
-    prob = SupervisedProblem.with_basis_features(2, np.zeros((3, 2)), (ZZ, second))
-    outputs, grads = outputs_and_gradients(empty, np.empty(0), prob)
-    assert outputs.shape == (6,) and grads.shape == (6, 0)
-    kernel = supervised_kernel(empty, np.empty(0), prob)
-    assert kernel.shape == (6, 6) and not np.any(kernel)
+    for obs in (ZZ, Observable(((1.0, PauliString("XX")),))):
+        feats = np.eye(4, dtype=complex)[:3]
+        kernel = supervised_kernels(empty.batch(2), np.empty((0, 2)), feats, obs.matrix)
+        assert kernel.shape == (2, 3, 3) and not np.any(kernel)
 
 
 def test_hessian_empty_circuit():
@@ -270,21 +267,22 @@ def test_meta_kernel_basics():
 
 
 def test_real_expectation_guard():
+    # the engine's guard on the imaginary residue of every output row
     non_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     vec = np.array([1.0, 1.0j]) / np.sqrt(2)
+    empty = build_random_ansatz(1, 0, RngStream(20))
     with pytest.raises(NonRealExpectationError):
-        real_expectation(non_hermitian, vec)
+        forward_adjoint(empty.batch(), np.empty((0, 1)), vec, non_hermitian)
 
 
 def test_supervised_single_pair_reduces_to_qntk():
     rng = RngStream(14)
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta = uniform_angles(6, rng.substream(1))
-    prob = SupervisedProblem.with_basis_features(2, np.array([0.0]), (ZZ,))
-    kernel = supervised_kernel(ansatz, theta, prob)
+    kernel = supervised_kernels(ansatz.batch(), theta[:, None], np.eye(4, dtype=complex)[:1], ZZ.matrix)
     g = gradient(ansatz, theta, ZZ, basis_state(2, 0))
-    assert kernel.shape == (1, 1)
-    assert kernel[0, 0] == qntk(g)
+    assert kernel.shape == (1, 1, 1)
+    assert kernel[0, 0, 0] == qntk(g)
 
 
 def test_supervised_duplicate_samples_give_equal_rows():
@@ -292,8 +290,7 @@ def test_supervised_duplicate_samples_give_equal_rows():
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta = uniform_angles(6, rng.substream(1))
     feats = np.stack([basis_state(2, 1), basis_state(2, 1)])
-    prob = SupervisedProblem(feats, np.zeros((2, 1)), (ZZ,), (0, 1))
-    kernel = supervised_kernel(ansatz, theta, prob)
+    kernel = supervised_kernels(ansatz.batch(), theta[:, None], feats, ZZ.matrix)[0]
     assert np.allclose(kernel[0], kernel[1], atol=1e-12)
     assert abs(np.linalg.det(kernel)) <= 1e-10
 
@@ -305,34 +302,32 @@ def test_supervised_kernel_symmetric_psd(n, size):
         ansatz = build_random_ansatz(n, 8, rng.substream(0))
         obs = random_pauli_sum(n, 6, rng.substream(1))
         theta = uniform_angles(8, rng.substream(2))
-        prob = SupervisedProblem.with_basis_features(n, np.zeros(size), (obs,))
-        kernel = supervised_kernel(ansatz, theta, prob)
+        feats = np.eye(1 << n, dtype=complex)[:size]
+        kernel = supervised_kernels(ansatz.batch(), theta[:, None], feats, obs.matrix)[0]
         assert np.max(np.abs(kernel - kernel.T)) <= 1e-10
         assert np.linalg.eigvalsh(kernel)[0] >= -1e-10
 
 
 def test_supervised_multi_output_index_order():
-    rng = RngStream(16)
-    ansatz = build_random_ansatz(2, 5, rng.substream(0))
-    theta = uniform_angles(5, rng.substream(1))
-    obs2 = Observable(((1.0, PauliString("XI")),))
-    prob = SupervisedProblem.with_basis_features(2, np.zeros((2, 2)), (ZZ, obs2))
-    kernel = supervised_kernel(ansatz, theta, prob)
-    assert kernel.shape == (4, 4)
-    # row 0 is (sample 0, first observable)
-    g = gradient(ansatz, theta, ZZ, basis_state(2, 0))
-    assert kernel[0, 0] == pytest.approx(qntk(g))
-
-
-def test_basis_features_require_room():
-    with pytest.raises(ValueError):
-        SupervisedProblem.with_basis_features(1, np.zeros(3), (Observable(((1.0, PauliString("Z")),)),))
+    # kernels[s, d, e] pairs the outputs of circuit s on points d and e
+    streams = [RngStream(16, (k,)) for k in range(3)]
+    batch = sample_random_circuits(2, 5, streams)
+    theta = ensemble_angles(5, streams)
+    obs = Observable(((1.0, PauliString("XI")),))
+    gram = supervised_kernels(batch, theta, np.eye(4, dtype=complex)[:3], obs.matrix)
+    assert gram.shape == (3, 3, 3)
+    for s in range(3):
+        ansatz = build_random_ansatz(2, 5, RngStream(16, (s,)))
+        grads = [gradient(ansatz, theta[:, s], obs, basis_state(2, d)) for d in range(3)]
+        for d in range(3):
+            for e in range(3):
+                assert gram[s, d, e] == pytest.approx(grads[d] @ grads[e], abs=1e-12)
 
 
 def test_empty_training_set_rejected():
-    feats = np.stack([basis_state(2, 0)])
+    ansatz = build_random_ansatz(2, 3, RngStream(21))
     with pytest.raises(ValueError):
-        SupervisedProblem(feats, np.zeros((1, 1)), (ZZ,), ())
+        supervised_kernels(ansatz.batch(), np.zeros((3, 1)), np.empty((0, 4), dtype=complex), ZZ.matrix)
 
 
 def test_unnormalized_state_rejected():
@@ -480,27 +475,3 @@ def test_engine_rejects_unnormalized_row():
     states = np.stack([zero_state(2), 2.0 * basis_state(2, 1)])
     with pytest.raises(ValueError, match="normalized"):
         forward_adjoint(ansatz.batch(2), np.zeros((3, 2)), states, ZZ.matrix)
-
-
-def test_supervised_points_are_batched_within_the_byte_budget(monkeypatch):
-    rng = RngStream(33)
-    ansatz = build_random_ansatz(3, 5, rng.substream(0))
-    theta = uniform_angles(5, rng.substream(1))
-    obs = random_pauli_sum(3, 6, rng.substream(2))
-    second = Observable(((1.0, PauliString("ZZI")),))
-    prob = SupervisedProblem.with_basis_features(3, np.zeros((8, 2)), (obs, second))
-    whole = kernels.outputs_and_gradients(ansatz, theta, prob)
-    sizes = []
-    engine = kernels.forward_adjoint
-
-    def record(batch, theta, psi, obs_matrix):
-        # (circuits, state rows) of each engine call: the points are rows of one circuit
-        sizes.append((batch.size, len(psi)))
-        return engine(batch, theta, psi, obs_matrix)
-
-    monkeypatch.setattr(kernels, "forward_adjoint", record)
-    monkeypatch.setattr(kernels, "STACK_BYTES", 3 * 5 * 8 * 16)
-    blocks = kernels.outputs_and_gradients(ansatz, theta, prob)
-    assert sizes == [(1, 3), (1, 3), (1, 3), (1, 3), (1, 2), (1, 2)]
-    assert np.max(np.abs(blocks[0] - whole[0])) <= 1e-12
-    assert np.max(np.abs(blocks[1] - whole[1])) <= 1e-12

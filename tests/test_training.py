@@ -9,7 +9,7 @@ from qntklab.circuits import (
 )
 from qntklab.kernels import (
     Observable,
-    SupervisedProblem,
+    forward_adjoint,
     gradient,
     hessian_residual,
     meta_kernel,
@@ -24,7 +24,7 @@ from qntklab.training import (
     fit_decay_rate,
     gd_batch,
     gd_optimize,
-    gd_supervised,
+    squared_loss,
 )
 
 ZZ = Observable(((1.0, PauliString("ZZ")),))
@@ -118,14 +118,16 @@ def test_supervised_reduction_matches_single_target_exactly():
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta0 = uniform_angles(6, rng.substream(1))
     label = 0.25
-    prob = SupervisedProblem.with_basis_features(2, np.array([label]), (ZZ,))
+    residuals, kernels, params, diverged = gd_batch(
+        ansatz.batch(), ZZ.matrix, np.array([label]), np.eye(4, dtype=complex)[:1], theta0[None, :], 2e-3, 40, True
+    )
     cfg = TrainingConfig(learning_rate=2e-3, steps=40, init_angles=theta0, record_parameters=True)
-    sup = gd_supervised(ansatz, prob, cfg)
     single = gd_optimize(ansatz, Observable(ZZ.terms, target=label), zero_state(2), cfg)
-    assert np.array_equal(sup.residuals[:, 0], single.errors)
-    assert np.array_equal(sup.kernels, single.kernels)
-    assert np.array_equal(sup.parameters, single.parameters)
-    assert np.allclose(sup.errors, 0.5 * single.errors**2)
+    assert diverged == {}
+    assert np.array_equal(residuals[0, :, 0], single.errors)
+    assert np.array_equal(kernels[0], single.kernels)
+    assert np.array_equal(params[0], single.parameters)
+    assert np.allclose(squared_loss(residuals[0]), 0.5 * single.errors**2)
 
 
 def test_supervised_zero_update_when_labels_match_outputs():
@@ -133,15 +135,11 @@ def test_supervised_zero_update_when_labels_match_outputs():
     ansatz = build_random_ansatz(2, 5, rng.substream(0))
     theta0 = uniform_angles(5, rng.substream(1))
     obs = random_pauli_sum(2, 4, rng.substream(2))
-    from qntklab.kernels import outputs_and_gradients
-
-    probe = SupervisedProblem.with_basis_features(2, np.zeros(3), (obs,))
-    z, _ = outputs_and_gradients(ansatz, theta0, probe)
-    prob = SupervisedProblem.with_basis_features(2, z.reshape(3, 1), (obs,))
-    cfg = TrainingConfig(learning_rate=1e-2, steps=10, init_angles=theta0, record_parameters=True)
-    traj = gd_supervised(ansatz, prob, cfg)
-    assert np.max(np.abs(traj.errors)) <= 1e-24
-    assert np.array_equal(traj.parameters[0], traj.parameters[-1])
+    feats = np.eye(4, dtype=complex)[:3]
+    z, _ = forward_adjoint(ansatz.batch(), theta0[:, None], feats, obs.matrix)
+    residuals, _, params, _ = gd_batch(ansatz.batch(), obs.matrix, z, feats, theta0[None, :], 1e-2, 10, True)
+    assert np.max(np.abs(squared_loss(residuals[0]))) <= 1e-24
+    assert np.array_equal(params[0, 0], params[0, -1])
 
 
 def test_supervised_loss_decays_exponentially():
@@ -155,12 +153,11 @@ def test_supervised_loss_decays_exponentially():
         sub = rng.substream(trial)
         ansatz = build_random_ansatz(2, 64, sub)
         labels = 2.0 * label_gen.generator.integers(0, 2, size=3) - 1.0
-        prob = SupervisedProblem.with_basis_features(2, labels.reshape(3, 1), (obs,))
-        cfg = TrainingConfig(
-            learning_rate=1e-3, steps=150, init_angles=uniform_angles(64, sub.substream(0))
-        )
-        traj = gd_supervised(ansatz, prob, cfg)
-        final_over_initial.append(traj.errors[-1] / traj.errors[0])
+        theta0 = uniform_angles(64, sub.substream(0))
+        feats = np.eye(4, dtype=complex)[:3]
+        residuals, _, _, _ = gd_batch(ansatz.batch(), obs.matrix, labels, feats, theta0[None, :], 1e-3, 150)
+        losses = squared_loss(residuals[0])
+        final_over_initial.append(losses[-1] / losses[0])
     assert np.mean(final_over_initial) < 0.05
 
 
@@ -248,33 +245,30 @@ def test_batched_divergence_matches_solo_runs():
 
 
 def test_batched_supervised_rows_match_solo_runs_and_divergence():
-    # three circuits with their own Haar layers, three basis points each, two
-    # observables: 6 rows per circuit; trial 1 starts at a non-finite angle
+    # three circuits with their own Haar layers, three basis points each,
+    # one label per point; trial 1 starts at a non-finite angle
     streams = [RngStream(14, (k,)) for k in range(3)]
     batch = sample_random_circuits(2, 6, streams)
     theta0 = ensemble_angles(6, streams).T
-    observables = (random_pauli_sum(2, 10, RngStream(15)), Observable(((1.0, PauliString("ZI")),)))
-    labels = np.array([[1.0, -0.5], [-1.0, 0.25], [1.0, 0.0]])
-    prob = SupervisedProblem.with_basis_features(2, labels, observables)
-    matrices = [o.matrix for o in observables]
-    psi0 = np.tile(prob.features, (3, 1))
+    obs = random_pauli_sum(2, 10, RngStream(15))
+    labels = np.array([1.0, -1.0, 0.25])
+    feats = np.eye(4, dtype=complex)[:3]
+    psi0 = np.tile(feats, (3, 1))
 
     def solo(k, init):
-        cfg = TrainingConfig(learning_rate=1e-2, steps=30, init_angles=init)
-        return gd_supervised(build_random_ansatz(2, 6, RngStream(14, (k,))), prob, cfg)
+        ansatz = build_random_ansatz(2, 6, RngStream(14, (k,)))
+        return gd_batch(ansatz.batch(), obs.matrix, labels, feats, init[None, :], 1e-2, 30)
 
-    healthy = gd_batch(batch, matrices, labels, psi0, theta0, 1e-2, 30)
-    assert healthy[0].shape == (3, 31, 6) and healthy[3] == {}
+    healthy = gd_batch(batch, obs.matrix, labels, psi0, theta0, 1e-2, 30)
+    assert healthy[0].shape == (3, 31, 3) and healthy[3] == {}
     poisoned = theta0.copy()
     poisoned[1, 4] = np.nan
-    residuals, kernels, _, diverged = gd_batch(batch, matrices, labels, psi0, poisoned, 1e-2, 30)
-    with pytest.raises(TrainingDivergenceError) as alone:
-        solo(1, poisoned[1])
-    assert diverged == {1: str(alone.value)}
+    residuals, kernels, _, diverged = gd_batch(batch, obs.matrix, labels, psi0, poisoned, 1e-2, 30)
+    assert diverged == {1: solo(1, poisoned[1])[3][0]}
     for k in (0, 2):
         assert np.array_equal(residuals[k], healthy[0][k])
         assert np.array_equal(kernels[k], healthy[1][k])
-        reference = solo(k, theta0[k])
-        scale = np.max(np.abs(reference.residuals))
-        assert np.max(np.abs(residuals[k] - reference.residuals)) <= 1e-12 * scale
-        assert np.max(np.abs(kernels[k] / reference.kernels - 1.0)) <= 1e-12
+        reference, reference_kernels, _, _ = solo(k, theta0[k])
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(residuals[k] - reference[0])) <= 1e-12 * scale
+        assert np.max(np.abs(kernels[k] / reference_kernels[0] - 1.0)) <= 1e-12
