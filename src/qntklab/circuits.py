@@ -1,19 +1,22 @@
-"""Ansatz construction and state evolution.
+"""Ansatz construction: circuits as batches for the engine.
 
 A circuit is an alternating product of fixed unitaries and single-generator
 Pauli exponentials,
 
     U(theta) = W_L exp(i theta_L X_L) ... W_1 exp(i theta_1 X_1),
 
-with layer 1 applied to the state first.  :class:`AnsatzSpec` describes one
-validated circuit; :class:`CircuitBatch` lays S of them out for the batched
-engine (``kernels.forward_adjoint``), which is the only code that evaluates
-the product.  Random-Haar ensembles are sampled straight into a batch by
-:func:`sample_random_circuits`, except the ``instance`` kernel ensembles of
-``qntk-stats``: each of their circuits is evaluated once, so
-``kernels.haar_instance_kernels`` draws its Haar layers lazily, two vectors
-per layer, and never builds a batch.  The chunk grid (:func:`chunk_grid`)
-sizes the chunks of either by the bytes a circuit keeps.
+with layer 1 applied to the state first.  :class:`CircuitBatch` is the one
+circuit type: S circuits laid out for the batched engine
+(``kernels.forward_adjoint``), which is the only code that evaluates the
+product.  A single circuit is a batch of size 1, and
+:meth:`CircuitBatch.repeat` shares it S times without copies.  The samplers
+draw ensembles straight into a batch (:func:`sample_random_circuits`,
+:func:`sample_hardware_efficient`); the ``build_*`` functions are the same
+samplers on one stream, and :class:`AnsatzSpec` validates a hand-built one.
+The ``instance`` kernel ensembles of random-Haar ``qntk-stats`` evaluate each
+circuit once, so ``kernels.haar_instance_kernels`` draws their Haar layers
+lazily, two vectors per layer, and never builds a batch.  The chunk grid
+(:func:`chunk_grid`) sizes the chunks of either by the bytes a circuit keeps.
 
 A fixed layer W takes one of three forms.  ``None`` is the identity.  A 1-D
 integer array ``perm`` is a permutation, (W psi)[i] = psi[perm[i]], such as
@@ -30,11 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    PAULI_LETTERS,
     STACK_BYTES,
-    PauliString,
     RngStream,
-    _pauli_action,
-    code_letters,
     ginibre,
     haar_from_ginibre,
     is_unitary,
@@ -44,58 +45,6 @@ from .linalg import (
 )
 
 NOT_UNITARY = "fixed layer matrix is not unitary"
-
-
-@dataclass(frozen=True)
-class AnsatzSpec:
-    """Immutable layered-circuit description.
-
-    ``generators[k]`` and ``fixed_unitaries[k]`` define layer k+1; the layer's
-    gate is ``fixed_unitaries[k] @ exp(i theta_k generators[k])``, with the
-    fixed layer in one of the forms of the module docstring.
-    """
-
-    num_qubits: int
-    generators: tuple[PauliString, ...]
-    fixed_unitaries: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.generators) != len(self.fixed_unitaries):
-            raise ValueError("generator and fixed-unitary lists must have equal length")
-        dim = 1 << self.num_qubits
-        # a layer array repeated in the circuit is checked once
-        checked = set()
-        for w in self.fixed_unitaries:
-            if w is None or id(w) in checked:
-                continue
-            if w.ndim == 1:
-                _check_permutation(w, dim)
-            elif w.shape != (dim, dim):
-                raise ValueError("fixed unitary has wrong dimension")
-            elif not is_unitary(w):
-                raise ValueError(NOT_UNITARY)
-            w.setflags(write=False)
-            checked.add(id(w))
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.generators)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def check_parameters(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.num_layers,):
-            raise ValueError(
-                f"expected {self.num_layers} angles, got shape {theta.shape}"
-            )
-        return theta
-
-    def batch(self, size: int = 1) -> "CircuitBatch":
-        """This circuit repeated ``size`` times, sharing every layer."""
-        return CircuitBatch.from_specs([self] * size)
 
 
 def _check_permutation(perm: np.ndarray, dim: int):
@@ -130,11 +79,12 @@ class CircuitBatch:
 
     ``fixed[l]`` is the fixed unitary of layer l+1: an (S, D, D) stack with one
     matrix per circuit, or a layer that all S circuits share: ``None`` (the
-    identity), a permutation (D,) or a dense (D, D) matrix.
-    ``perms[l]`` and ``phases[l]`` apply the layer's Pauli generator as in
-    :func:`linalg._pauli_action`, one entry per circuit, or a single entry
-    when the generator is shared; both have shape (L, S or 1, D).  In the
-    engine each circuit serves P consecutive rows, one per input state.
+    identity), a permutation (D,) or a dense (D, D) matrix.  ``codes`` holds
+    the base-4 codes (``linalg.code_letters``) of the layers' Pauli
+    generators, shape (S, L), or (1, L) when the S circuits share them.  The
+    constructor turns them into ``perms`` and ``phases`` (:func:`code_tables`),
+    which apply each generator in O(D), shape (L, S or 1, D).  In
+    the engine each circuit serves P consecutive rows, one per input state.
     Every array is made read-only, because :meth:`gate_factors` caches
     products of them.
     """
@@ -142,22 +92,46 @@ class CircuitBatch:
     num_qubits: int
     size: int
     fixed: tuple[np.ndarray, ...] = field(repr=False)
-    perms: np.ndarray = field(repr=False)
-    phases: np.ndarray = field(repr=False)
+    codes: np.ndarray
+    perms: np.ndarray = field(init=False, repr=False)
+    phases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        perms, phases = code_tables(self.num_qubits, self.codes)
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "phases", phases)
         # the cached gate factors are built from these arrays, so none may change
-        for arr in (*self.fixed, self.perms, self.phases):
+        for arr in (*self.fixed, self.codes, perms, phases):
             if arr is not None:
                 arr.setflags(write=False)
 
     @property
     def num_layers(self) -> int:
-        return len(self.fixed)
+        return self.codes.shape[1]
 
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
+
+    def check_parameters(self, theta: np.ndarray) -> np.ndarray:
+        """The angles (L,) of a one-circuit batch, as floats."""
+        theta = np.asarray(theta, dtype=float)
+        if self.size != 1 or theta.shape != (self.num_layers,):
+            raise ValueError(
+                f"expected the {self.num_layers} angles of one circuit, "
+                f"got shape {theta.shape} for {self.size} circuits"
+            )
+        return theta
+
+    def repeat(self, size: int) -> "CircuitBatch":
+        """This one circuit ``size`` times, sharing its codes and every fixed layer, with no copies.
+
+        A per-circuit (1, D, D) layer is passed on as its (D, D) view.
+        """
+        if self.size != 1:
+            raise ValueError(f"only one circuit can be repeated, not {self.size}")
+        fixed = tuple(w[0] if w is not None and w.ndim == 3 else w for w in self.fixed)
+        return CircuitBatch(self.num_qubits, size, fixed, self.codes)
 
     def backward_layers(self) -> tuple:
         """The fixed layers as the row-vector backward pass mu <- mu W reads them.
@@ -197,53 +171,63 @@ class CircuitBatch:
             cache["_gate_factors"] = w, columns
         return cache["_gate_factors"]
 
-    @classmethod
-    def from_specs(cls, specs) -> "CircuitBatch":
-        """Batch of validated circuits.
 
-        A layer whose fixed entry is the same in every circuit (``None``, the
-        same array, or equal arrays) is passed once and never copied.  The
-        others are stacked as dense (S, D, D) matrices, so a layer whose form
-        differs between circuits is made dense.
-        """
-        first = specs[0]
-        if any(
-            s.num_qubits != first.num_qubits or s.num_layers != first.num_layers for s in specs
-        ):
-            raise ValueError("batched circuits must have equal width and depth")
-        fixed = []
-        for layer, w in enumerate(first.fixed_unitaries):
-            others = [s.fixed_unitaries[layer] for s in specs[1:]]
-            if all(o is w or (o is not None and w is not None and np.array_equal(o, w)) for o in others):
-                fixed.append(w)
-            else:
-                fixed.append(np.stack([dense_layer(x, first.dim) for x in [w] + others]))
-        if all(s.generators == first.generators for s in specs):
-            rows = [first.generators]
-        else:
-            rows = [s.generators for s in specs]
-        letters = sorted({g.letters for row in rows for g in row})
-        where = {x: i for i, x in enumerate(letters)}
-        index = np.array([[where[g.letters] for g in row] for row in rows], dtype=np.intp)
-        perms, phases = _generator_tables(letters, index.T, first.dim)
-        return cls(first.num_qubits, len(specs), tuple(fixed), perms, phases)
+class AnsatzSpec(CircuitBatch):
+    """One hand-built circuit, validated: a :class:`CircuitBatch` of size 1.
 
+    ``generators[k]`` (Pauli strings, or their letters) and
+    ``fixed_unitaries[k]`` define layer k+1, whose gate is
+    ``fixed_unitaries[k] @ exp(i theta_k generators[k])``, with the fixed
+    layer in one of the forms of the module docstring.  A permutation is
+    checked, and so is a dense layer's unitarity, once per distinct array.
+    """
 
-def _generator_tables(letters: list[str], index: np.ndarray, dim: int):
-    """Permutation and phase tables of the generators ``letters[index[l, s]]``."""
-    if not letters:
-        return np.empty(index.shape + (dim,), dtype=np.intp), np.empty(index.shape + (dim,), dtype=complex)
-    actions = [_pauli_action(x) for x in letters]
-    perms = np.stack([a[0] for a in actions])[index]
-    phases = np.stack([a[1] for a in actions])[index]
-    return perms, phases
+    def __init__(self, num_qubits: int, generators, fixed_unitaries):
+        if len(generators) != len(fixed_unitaries):
+            raise ValueError("generator and fixed-unitary lists must have equal length")
+        if any(len(str(g)) != num_qubits for g in generators):
+            raise ValueError(f"every generator must act on {num_qubits} qubits")
+        dim = 1 << num_qubits
+        # a layer array repeated in the circuit is checked once
+        checked = set()
+        for w in fixed_unitaries:
+            if w is None or id(w) in checked:
+                continue
+            if w.ndim == 1:
+                _check_permutation(w, dim)
+            elif w.shape != (dim, dim):
+                raise ValueError("fixed unitary has wrong dimension")
+            elif not is_unitary(w):
+                raise ValueError(NOT_UNITARY)
+            checked.add(id(w))
+        # the base-4 digits of a code are the letters' indices in "IXYZ"
+        codes = [int("".join(str(PAULI_LETTERS.index(x)) for x in str(g)), 4) for g in generators]
+        super().__init__(num_qubits, 1, tuple(fixed_unitaries), np.array([codes], dtype=np.int64))
 
 
-def code_tables(n: int, codes: np.ndarray):
-    """Permutation and phase tables (L, S, D) of generator codes (S, L), as in :class:`CircuitBatch`."""
-    distinct, index = np.unique(codes, return_inverse=True)
-    letters = [code_letters(n, int(c)) for c in distinct]
-    return _generator_tables(letters, index.reshape(codes.shape).T, 1 << n)
+def code_tables(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation and phase tables (L, S, D) of generator codes (S, L), as in :class:`CircuitBatch`.
+
+    A Pauli string maps |b> to coef(b) |b ^ flip>, so (P v)[j] =
+    phase[j] v[perm[j]] with perm = idx ^ flip and phase = coef[perm].  The
+    letter on qubit q, bit n-1-q of the index, sets that bit of flip for X
+    and Y, and multiplies coef by i (1 - 2 b) for Y and by (1 - 2 b) for Z,
+    qubit by qubit.  All codes are handled at once, so the tables are the
+    only arrays of their size, and nothing is kept between calls.
+    """
+    codes = np.asarray(codes).T
+    idx = np.arange(1 << n)
+    flip = np.zeros(codes.shape, dtype=idx.dtype)
+    coef = np.ones(codes.shape + idx.shape, dtype=complex)
+    for q in range(n):
+        bit = n - 1 - q
+        letter = (codes >> (2 * bit)) & 3
+        sign = 1 - 2 * ((idx >> bit) & 1)
+        np.bitwise_or(flip, 1 << bit, out=flip, where=(letter == 1) | (letter == 2))
+        np.multiply(coef, 1j * sign, out=coef, where=(letter == 2)[..., None])
+        np.multiply(coef, sign, out=coef, where=(letter == 3)[..., None])
+    perms = idx ^ flip[..., None]
+    return perms, np.take_along_axis(coef, perms, axis=-1)
 
 
 def samples_per_chunk(dim: int, layers: int, lazy: bool = False) -> int:
@@ -302,39 +286,26 @@ def _draw_random_layers(n: int, layers: int, streams, exclude_identity: bool):
 def sample_random_circuits(
     n: int, layers: int, streams, exclude_identity: bool = True
 ) -> CircuitBatch:
-    """Random circuits, one per stream, each identical to ``build_random_ansatz(n, layers, stream)``."""
+    """Random circuits, one per stream, with their Haar layers stacked (S, D, D).
+
+    Circuit s is ``build_random_ansatz(n, layers, streams[s])``.
+    """
     codes, stack = _draw_random_layers(n, layers, streams, exclude_identity)
     if not is_unitary(stack):
         raise ValueError(NOT_UNITARY)
-    perms, phases = code_tables(n, codes)
-    fixed = tuple(stack[:, layer] for layer in range(layers))
-    return CircuitBatch(n, len(streams), fixed, perms, phases)
+    return CircuitBatch(n, len(streams), tuple(stack.swapaxes(0, 1)), codes)
 
 
 def build_random_ansatz(
     n: int, layers: int, rng: RngStream, exclude_identity: bool = True
-) -> AnsatzSpec:
+) -> CircuitBatch:
     """Random circuit family: fresh Haar W_l, fresh uniform Pauli generators.
 
-    Sampled once and immutable afterwards; optimizing the angles never touches
-    the W_l or the generators.
+    One circuit, with each Haar layer a shared (D, D) matrix.  Sampled once
+    and immutable afterwards; optimizing the angles never touches the W_l or
+    the generators.
     """
-    codes, stack = _draw_random_layers(n, layers, [rng], exclude_identity)
-    gens = tuple(PauliString(code_letters(n, int(c))) for c in codes[0])
-    return AnsatzSpec(n, gens, tuple(stack[0]))
-
-
-def _single_qubit_string(n: int, qubit: int, letter: str) -> PauliString:
-    s = ["I"] * n
-    s[qubit] = letter
-    return PauliString("".join(s))
-
-
-def _two_qubit_string(n: int, q1: int, q2: int, letter: str) -> PauliString:
-    s = ["I"] * n
-    s[q1] = letter
-    s[q2] = letter
-    return PauliString("".join(s))
+    return sample_random_circuits(n, layers, [rng], exclude_identity).repeat(1)
 
 
 def cnot_ladder(n: int) -> np.ndarray:
@@ -348,50 +319,50 @@ def cnot_ladder(n: int) -> np.ndarray:
     return index ^ (index >> 1)
 
 
-def build_hardware_efficient(
-    n: int, depth: int, variant: str, rng: RngStream
-) -> AnsatzSpec:
-    """Hardware-efficient families, unrolled into the single-generator normal form.
+def sample_hardware_efficient(n: int, depth: int, variant: str, streams) -> CircuitBatch:
+    """Hardware-efficient circuits, one per stream, unrolled into the single-generator normal form.
 
     ``cphase-ladder``: each depth block is one parameterized Pauli rotation per
     qubit (axis drawn uniformly from X/Y/Z, independently per qubit per block)
     followed by a linear ladder of parameterized two-qubit phase couplings,
     realized as involutory ZZ generators so every layer is exp(i theta P) with
-    P a Pauli string.  Parameter count per block: n + (n - 1).
+    P a Pauli string.  Parameter count per block: n + (n - 1).  Stream s draws
+    the axes block by block, qubit by qubit.
 
     ``cnot-su2``: general single-qubit rotations as Z-Y-Z generator triplets on
     each qubit, followed by a fixed CNOT chain carried by the last rotation
-    layer of the block.  Parameter count per block: 3n.
+    layer of the block.  Parameter count per block: 3n.  Nothing is drawn,
+    so the circuits share their codes.
 
     The fixed layers are ``None`` (the identity) except the CNOT ladder, one
-    permutation array shared by the blocks: no dense matrix is built.
+    permutation array shared by the blocks and the circuits: no dense matrix
+    is built.
     """
     if n < 2:
         raise ValueError("hardware-efficient ansatz needs n >= 2 (no entangler otherwise)")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    gens: list[PauliString] = []
-    fixed: list[np.ndarray | None] = []
+    # letter d (X=1, Y=2, Z=3) on qubit q alone has code d * place[q]; qubit 0 is the top digit
+    place = [4 ** (n - 1 - q) for q in range(n)]
     if variant == "cphase-ladder":
-        for _ in range(depth):
-            for q in range(n):
-                axis = "XYZ"[int(rng.generator.integers(0, 3))]
-                gens.append(_single_qubit_string(n, q, axis))
-                fixed.append(None)
-            for q in range(n - 1):
-                gens.append(_two_qubit_string(n, q, q + 1, "Z"))
-                fixed.append(None)
+        couplings = [3 * (place[q] + place[q + 1]) for q in range(n - 1)]
+
+        def block(rng):
+            return [(1 + int(rng.generator.integers(0, 3))) * p for p in place] + couplings
+
+        codes = [[c for _ in range(depth) for c in block(rng)] for rng in streams]
+        fixed = (None,) * len(codes[0])
     elif variant == "cnot-su2":
-        ladder = cnot_ladder(n)
-        for _ in range(depth):
-            for q in range(n):
-                for axis in ("Z", "Y", "Z"):
-                    gens.append(_single_qubit_string(n, q, axis))
-                    fixed.append(None)
-            fixed[-1] = ladder
+        codes = [[letter * p for p in place for letter in (3, 2, 3)] * depth]
+        fixed = ((None,) * (3 * n - 1) + (cnot_ladder(n),)) * depth
     else:
         raise ValueError(f"unknown hardware-efficient variant {variant!r}")
-    return AnsatzSpec(n, tuple(gens), tuple(fixed))
+    return CircuitBatch(n, len(streams), fixed, np.array(codes, dtype=np.int64))
+
+
+def build_hardware_efficient(n: int, depth: int, variant: str, rng: RngStream) -> CircuitBatch:
+    """One hardware-efficient circuit (:func:`sample_hardware_efficient` on one stream)."""
+    return sample_hardware_efficient(n, depth, variant, [rng])
 
 
 def uniform_angles(layers: int, rng: RngStream) -> np.ndarray:
@@ -413,6 +384,7 @@ __all__ = [
     "cnot_ladder",
     "dense_layer",
     "ensemble_angles",
+    "sample_hardware_efficient",
     "sample_random_circuits",
     "samples_per_chunk",
     "uniform_angles",

@@ -21,10 +21,9 @@ import numpy as np
 from . import __version__
 from .circuits import (
     CircuitBatch,
-    build_hardware_efficient,
-    build_random_ansatz,
     chunk_grid,
     ensemble_angles,
+    sample_hardware_efficient,
     sample_random_circuits,
 )
 from .haar import mc_commutator_trace, mc_second_moment
@@ -94,8 +93,8 @@ _ALLOWED_KEYS = {
 # allocated: the D x D observable, the dense fixed layers of one circuit (L
 # Haar matrices for a random-Haar circuit on the dense sampler, none for
 # lazily drawn Haar layers or for the hardware-efficient families, whose
-# fixed layers are identities and one permutation), and the (L, D) arrays
-# the engine keeps per row of one circuit.
+# fixed layers are identities and one permutation), and the arrays the
+# engine keeps for one circuit (:func:`_engine_entry_bytes`).
 DENSE_BYTES_LIMIT = 2 << 30
 
 _DEFAULTS = {
@@ -153,23 +152,23 @@ def _as_number(key: str, value, positive: bool = False, minimum: float | None = 
     return value
 
 
-def _check_dense_bytes(key: str, qubits: int, dense_layers: int = 0, row_vectors: int = 0):
+def _check_dense_bytes(key: str, qubits: int, dense_layers: int = 0, entry_bytes: int = 0):
     """Refuse a config whose arrays would exceed DENSE_BYTES_LIMIT.
 
     Counts the observable and ``dense_layers`` dense (D, D) matrices, plus
-    ``row_vectors`` complex (D,) vectors.  Past a few hundred qubits the
-    estimate is infinite in the message anyway, so the width is capped there
-    to keep the integer shifts small.
+    ``entry_bytes`` per basis state.  Past a few hundred qubits the estimate
+    is infinite in the message anyway, so the width is capped there to keep
+    the integer shifts small.
     """
     width = min(qubits, 512)
-    estimate = (1 + dense_layers) * (16 << (2 * width)) + row_vectors * (16 << width)
+    estimate = (1 + dense_layers) * (16 << (2 * width)) + (entry_bytes << width)
     if estimate > DENSE_BYTES_LIMIT:
         # Python ints of any size; only the message needs a float
         gib = estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
         _fail(
             key,
             f"needs about {gib:.1f} GiB (the observable, {dense_layers} dense fixed layers and "
-            f"{row_vectors} state vectors of one circuit at {qubits} qubits); "
+            f"the engine's arrays of one circuit at {qubits} qubits); "
             f"the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
         )
 
@@ -310,19 +309,33 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
-    # Per row the engine keeps two complex (L, D) arrays, the states and
-    # co-states of every layer; lazy Haar layers add their forward and
-    # backward normals, each (L, 2, D) floats.  L counts rotation layers (a
-    # hardware-efficient block has 3n of them for cnot, 2n - 1 for cphase),
-    # and the supervised kinds give a circuit one row per training point.
-    ansatz, n = out.get("ansatz", "random-haar"), out["qubits"]
-    lazy = _lazy_haar(out)
-    depth = max(out["layers"]) if isinstance(out["layers"], list) else out["layers"]
-    layers = depth * {"hardware-efficient-cnot": 3 * n, "hardware-efficient-cphase": 2 * n - 1}.get(ansatz, 1)
-    rows = out.get("train_size", max(out.get("train_sizes", [1])))
-    dense_layers = layers if ansatz == "random-haar" and not lazy else 0
-    _check_dense_bytes("qubits/layers", n, dense_layers, (4 if lazy else 2) * layers * rows)
+    dense = out.get("ansatz", "random-haar") == "random-haar" and not _lazy_haar(out)
+    dense_layers = _rotation_layers(out) if dense else 0
+    _check_dense_bytes("qubits/layers", out["qubits"], dense_layers, _engine_entry_bytes(out))
     return out
+
+
+def _rotation_layers(cfg: dict) -> int:
+    """L of the deepest circuit: a hardware-efficient block has 3n rotations for cnot, 2n - 1 for cphase."""
+    n, depth = cfg["qubits"], cfg["layers"]
+    depth = max(depth) if isinstance(depth, list) else depth
+    return depth * {"hardware-efficient-cnot": 3 * n, "hardware-efficient-cphase": 2 * n - 1}.get(cfg.get("ansatz"), 1)
+
+
+def _engine_entry_bytes(cfg: dict) -> int:
+    """Bytes per basis state that the engine holds for one circuit of a validated config.
+
+    Per rotation layer, the per-layer loop keeps the state of each row (16
+    bytes per entry) and the generator's permutation and phase tables (24);
+    lazy Haar layers add each row's image under the layer (16) and the
+    layer's forward and backward normals (32).  One layer's temporaries add
+    64 complex vectors per row.  The supervised kinds give a circuit one row
+    per training point.  The fused path keeps two states per row and layer,
+    but runs only on chunks whose gates fit ``STACK_BYTES``.
+    """
+    rows = cfg.get("train_size", max(cfg.get("train_sizes", [1])))
+    per_layer = 16 * rows + 24 + (16 * rows + 32 if _lazy_haar(cfg) else 0)
+    return _rotation_layers(cfg) * per_layer + 64 * 16 * rows
 
 
 def load_config(path: str | Path, kind: str | None = None) -> dict:
@@ -365,14 +378,6 @@ def realize_observable(cfg: dict) -> Observable:
         coeff_high=spec["coeff_high"],
         target=spec["target"],
     )
-
-
-def _build_ansatz(cfg: dict, n: int, layers: int, rng: RngStream):
-    family = cfg.get("ansatz", "random-haar")
-    if family == "random-haar":
-        return build_random_ansatz(n, layers, rng, exclude_identity=cfg["exclude_identity"])
-    variant = "cphase-ladder" if family.endswith("cphase") else "cnot-su2"
-    return build_hardware_efficient(n, layers, variant, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +450,19 @@ def _run_chunks(worker, payload, grid):
 
 
 def _circuit_batch(cfg: dict, layers: int, streams, shared: RngStream) -> CircuitBatch:
-    """The circuits of one ensemble chunk: one per stream, or the shared one in angle mode."""
-    n = cfg["qubits"]
+    """The circuits of one ensemble chunk: one per stream, or in angle mode the shared one, repeated."""
     if cfg["resample"] == "angle":
-        return _build_ansatz(cfg, n, layers, shared).batch(len(streams))
-    if cfg["ansatz"] == "random-haar":
+        return _sample_circuits(cfg, layers, [shared]).repeat(len(streams))
+    return _sample_circuits(cfg, layers, streams)
+
+
+def _sample_circuits(cfg: dict, layers: int, streams) -> CircuitBatch:
+    """One circuit of the config's family per stream."""
+    n, family = cfg["qubits"], cfg["ansatz"]
+    if family == "random-haar":
         return sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
-    return CircuitBatch.from_specs([_build_ansatz(cfg, n, layers, s) for s in streams])
+    variant = "cphase-ladder" if family.endswith("cphase") else "cnot-su2"
+    return sample_hardware_efficient(n, layers, variant, streams)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzSpec, build_random_ansatz, chunk_grid, sample_random_circuits
+from .circuits import chunk_grid, sample_random_circuits
 from .kernels import Observable, ensemble_kernels
 from .linalg import RngStream, ginibre, haar_from_ginibre, kahan_sum, matrices_per_block
 from .theory import kbar_exact
@@ -127,46 +127,22 @@ def _haar_blocks(dim: int, samples: int, rng: RngStream):
 
 
 def mc_kbar(
-    n: int,
-    layers: int,
-    obs: Observable,
-    psi0: np.ndarray,
-    samples: int,
-    rng: RngStream,
-    mode: str = "instance",
-    ansatz: AnsatzSpec | None = None,
-    return_samples: bool = False,
-):
+    n: int, layers: int, obs: Observable, psi0: np.ndarray, samples: int, rng: RngStream
+) -> MomentEstimate:
     """Ensemble average of the exact kernel against the closed-form prediction.
 
-    ``instance`` mode draws a fresh circuit (fresh Haar fixed unitaries, fresh
-    Pauli generators) and fresh uniform angles per sample; this is the mode the
-    closed form describes.  ``angle`` mode keeps one circuit fixed and only
-    resamples the angles; its mean has no closed form and the attached target
-    is for reference only.
+    Every sample draws a fresh circuit (fresh Haar fixed unitaries, fresh
+    Pauli generators) from ``rng.substream(s + 1)`` and fresh uniform angles:
+    the ensemble the closed form describes.
     """
-    if mode not in ("instance", "angle"):
-        raise ValueError(f"unknown resampling mode {mode!r}")
     dim = 1 << n
     target = kbar_exact(dim, layers, obs.trace_power(2), obs.trace_power(1))
-    if layers == 0:
-        values = np.zeros(samples)
-        est = MomentEstimate.from_samples(values, target)
-        return (est, values) if return_samples else est
-    if mode == "angle" and ansatz is None:
-        ansatz = build_random_ansatz(n, layers, rng.substream(0))
-    if mode == "angle" and ansatz.num_layers != layers:
-        raise ValueError(f"expected a {layers}-layer ansatz, got {ansatz.num_layers} layers")
     values = np.empty(samples)
     for lo, hi in chunk_grid(samples, dim, layers):
         streams = [rng.substream(s + 1) for s in range(lo, hi)]
-        if mode == "instance":
-            batch = sample_random_circuits(n, layers, streams)
-        else:
-            batch = ansatz.batch(hi - lo)
+        batch = sample_random_circuits(n, layers, streams)
         values[lo:hi] = ensemble_kernels(batch, streams, obs.matrix, psi0)
-    est = MomentEstimate.from_samples(values, target)
-    return (est, values) if return_samples else est
+    return MomentEstimate.from_samples(values, target)
 
 
 __all__ = [

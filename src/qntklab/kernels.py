@@ -13,6 +13,8 @@ of outputs or finite differences are involved (those exist only as test oracles)
 passes run over a leading row axis (:func:`forward_adjoint`): a chunk of S
 circuits, each with P input states, costs one pass of S*P-row array
 operations per layer; a single circuit with one input is the chunk S=P=1.
+The single-circuit functions (:func:`model_output`, :func:`gradient`,
+:func:`hessian_residual`) take such a one-circuit :class:`CircuitBatch`.
 The supervised kernel of a circuit over P training points
 (:func:`supervised_kernels`) is the Gram matrix of its P gradient rows.
 :func:`forward_adjoint` evaluates every circuit held as a
@@ -64,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import NOT_UNITARY, AnsatzSpec, CircuitBatch, code_tables, ensemble_angles
+from .circuits import NOT_UNITARY, CircuitBatch, code_tables, ensemble_angles
 from .linalg import STACK_BYTES, UNITARY_ATOL, PauliString, RngStream, pauli_matrix, sample_pauli
 
 IMAG_TOL = 1e-10
@@ -262,11 +264,6 @@ def _apply_transpose(w, states: np.ndarray) -> np.ndarray:
     return np.matmul(states.reshape(size, -1, dim), w).reshape(-1, dim)
 
 
-def _per_row(table: np.ndarray, points: int) -> np.ndarray:
-    """A per-circuit table (L, S, ...) repeated for each circuit's P rows; a shared (L, 1, ...) one as is."""
-    return table if table.shape[1] == 1 else np.repeat(table, points, axis=1)
-
-
 def forward_adjoint(
     batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -363,42 +360,47 @@ def _rotation_pass(
     row; ``backward(k, mu)`` returns mu W_k for conjugate rows mu, that is the
     conjugate of W_k^dagger y for the co-state y = conj(mu).  Returns the
     outputs, the gradients (rows, L), and the final state psi_L, the observable
-    on it lam = O psi_L, and the pulled-back conjugate co-state mu_0.
+    on it lam = O psi_L, and the pulled-back conjugate co-state mu_0.  The
+    only (L, rows, D) array it keeps is the state before each W; every other
+    factor is formed one layer at a time.
     """
     layers, size = theta.shape
     rows, dim = size * points, obs_matrix.shape[0]
     theta = np.repeat(theta, points, axis=1)
-    phases = _per_row(phases, points)
-
-    # full (L, rows, D) factors: per-layer products then need no broadcasting
-    cos = np.repeat(np.cos(theta)[:, :, None], dim, axis=2)
+    cos = np.cos(theta)[:, :, None]
     isin = 1j * np.sin(theta)[:, :, None]
-    # generator gathers on the flattened (rows, D) state array
-    gather = _per_row(perms, points) + (np.arange(rows) * dim)[:, None]
+    offsets = (np.arange(rows) * dim)[:, None]
+
+    def generator(k):
+        """Gather indices on the flattened (rows, D) state array and phases of layer k's generator."""
+        perm, phase = perms[k], phases[k]
+        if points > 1 and len(perm) > 1:  # one table per circuit, each serving the circuit's P rows
+            perm, phase = np.repeat(perm, points, axis=0), np.repeat(phase, points, axis=0)
+        return perm + offsets, phase
+
     # Forward: psi <- W (cos psi + i sin X psi), keeping the state before each
     # W.  Backward: lam = O U|psi0> pulled back layer by layer; as a row
     # vector its conjugate mu obeys mu <- cos (mu W) + i sin conj(X)(mu W),
-    # which needs neither W^dagger nor a conjugation per layer.  The gathered
-    # mu of every layer is kept for one vectorized gradient product at the end.
+    # which needs neither W^dagger nor a conjugation per layer.
     tilted = np.empty((layers, rows, dim), dtype=complex)
-    gathered = np.empty((layers, rows, dim), dtype=complex)
     psi = np.array(np.broadcast_to(psi0, (rows, dim)), dtype=complex)
-    for k, (c, turn, index, out) in enumerate(zip(cos, isin * phases, gather, tilted)):
-        np.multiply(c, psi, out=out)
-        out += turn * psi.take(index)
+    for k, out in enumerate(tilted):
+        index, phase = generator(k)
+        np.multiply(cos[k], psi, out=out)
+        out += isin[k] * phase * psi.take(index)
         psi = forward(k, out)
     lam = psi @ obs_matrix.T
     outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
     mu = lam.conj()
-    conj_phases = phases.conj()
-    turns = isin * conj_phases
+    grads = np.empty((rows, layers))
     for k in range(layers - 1, -1, -1):
+        index, phase = generator(k)
         mu = backward(k, mu)
-        mu.take(gather[k], out=gathered[k])
-        mu = cos[k] * mu + turns[k] * gathered[k]
-    # d eps / d theta_k = 2 Im <tilted_k| X lam_k> = -2 Im sum(tilted_k * conj(X lam_k))
-    grads = -2.0 * np.sum(tilted * conj_phases * gathered, axis=2).imag
-    grads = np.ascontiguousarray(grads.T)
+        gathered = mu.take(index)
+        conj_phase = phase.conj()
+        # d eps / d theta_k = 2 Im <tilted_k| X lam_k> = -2 Im sum(tilted_k * conj(X lam_k))
+        grads[:, k] = -2.0 * np.sum(tilted[k] * conj_phase * gathered, axis=1).imag
+        mu = cos[k] * mu + isin[k] * conj_phase * gathered
     return outputs, grads, (psi, lam, mu)
 
 
@@ -480,31 +482,31 @@ def haar_instance_kernels(
 
 
 def model_output(
-    ansatz: AnsatzSpec, theta: np.ndarray, obs: Observable, phi: np.ndarray
+    circuit: CircuitBatch, theta: np.ndarray, obs: Observable, phi: np.ndarray
 ) -> float:
     """Expectation of the observable in the circuit-evolved feature state."""
-    theta = ansatz.check_parameters(theta)
-    outputs, _ = forward_adjoint(ansatz.batch(), theta[:, None], phi, obs.matrix)
+    theta = circuit.check_parameters(theta)
+    outputs, _ = forward_adjoint(circuit, theta[:, None], phi, obs.matrix)
     return float(outputs[0])
 
 
 def residual_error(
-    ansatz: AnsatzSpec, theta: np.ndarray, obs: Observable, psi0: np.ndarray
+    circuit: CircuitBatch, theta: np.ndarray, obs: Observable, psi0: np.ndarray
 ) -> float:
     """Expectation value minus the observable's target."""
-    return model_output(ansatz, theta, obs, psi0) - obs.target
+    return model_output(circuit, theta, obs, psi0) - obs.target
 
 
 def gradient(
-    ansatz: AnsatzSpec, theta: np.ndarray, obs: Observable, psi0: np.ndarray
+    circuit: CircuitBatch, theta: np.ndarray, obs: Observable, psi0: np.ndarray
 ) -> np.ndarray:
     """Exact derivative of the residual error w.r.t. every angle.
 
     The target is a constant shift, so this is also the derivative of the raw
     model output.
     """
-    theta = ansatz.check_parameters(theta)
-    _, grads = forward_adjoint(ansatz.batch(), theta[:, None], psi0, obs.matrix)
+    theta = circuit.check_parameters(theta)
+    _, grads = forward_adjoint(circuit, theta[:, None], psi0, obs.matrix)
     return grads[0]
 
 
@@ -524,7 +526,7 @@ def ensemble_kernels(
 
 
 def hessian_residual(
-    ansatz: AnsatzSpec, theta: np.ndarray, obs: Observable, psi0: np.ndarray
+    circuit: CircuitBatch, theta: np.ndarray, obs: Observable, psi0: np.ndarray
 ) -> np.ndarray:
     """Exact symmetric L x L second-derivative matrix of the residual error.
 
@@ -532,14 +534,14 @@ def hessian_residual(
     adjoint gradients (see the module docstring), from one engine call on 2L
     copies of the circuit; the upper triangle is mirrored.
     """
-    theta = ansatz.check_parameters(theta)
-    psi0 = _check_inputs(ansatz.dim, 1, np.reshape(psi0, (1, -1)), obs.matrix)[0]
-    layers = ansatz.num_layers
+    theta = circuit.check_parameters(theta)
+    psi0 = _check_inputs(circuit.dim, 1, np.reshape(psi0, (1, -1)), obs.matrix)[0]
+    layers = circuit.num_layers
     if layers == 0:
         return np.empty((0, 0))
     shifts = (np.pi / 4) * np.eye(layers)
     angles = theta[:, None] + np.concatenate([shifts, -shifts], axis=1)
-    _, grads = forward_adjoint(ansatz.batch(2 * layers), angles, psi0, obs.matrix)
+    _, grads = forward_adjoint(circuit.repeat(2 * layers), angles, psi0, obs.matrix)
     pair = grads[:layers] - grads[layers:]
     return np.triu(pair) + np.triu(pair, 1).T
 
@@ -562,7 +564,7 @@ def supervised_kernels(
     input state per training point; every circuit serves all P of them as its
     rows, in one engine call.  Returns (S, P, P) Gram matrices of the output
     gradients, symmetric positive semi-definite by construction.  For one
-    circuit alone, pass ``ansatz.batch()`` and ``theta[:, None]``.
+    circuit alone, pass it with ``theta[:, None]``.
     """
     features = np.asarray(features)
     points, layers = len(features), batch.num_layers

@@ -1,15 +1,14 @@
 """Dense complex linear algebra, Pauli-string algebra, and seeded random sampling.
 
 Everything downstream (circuits, kernels, Monte-Carlo oracles) is built on the
-primitives here: Kronecker-product Pauli operators and their O(D)
-permutation-and-phase action, Haar-distributed unitaries, and reproducible
-random streams keyed by a (master seed, stream index) pair.
+primitives here: Kronecker-product Pauli operators and their base-4 codes,
+Haar-distributed unitaries, and reproducible random streams keyed by a
+(master seed, stream index) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,38 +60,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, index={self.index})"
-
-
-@lru_cache(maxsize=4096)
-def _pauli_action(letters: str):
-    """Permutation and phase arrays realizing ``P @ v`` in O(D).
-
-    A Pauli string maps basis state ``|b>`` to ``phase(b) * |b ^ flip_mask>``,
-    so the dense product reduces to an index gather plus elementwise phases.
-    """
-    n = len(letters)
-    dim = 1 << n
-    idx = np.arange(dim)
-    flip = 0
-    coef = np.ones(dim, dtype=complex)
-    for q, letter in enumerate(letters):
-        bitpos = n - 1 - q
-        bits = (idx >> bitpos) & 1
-        if letter == "X":
-            flip |= 1 << bitpos
-        elif letter == "Y":
-            flip |= 1 << bitpos
-            coef = coef * (1j * (1 - 2 * bits))
-        elif letter == "Z":
-            coef = coef * (1 - 2 * bits)
-        elif letter != "I":
-            raise ValueError(f"unknown Pauli letter {letter!r}")
-    perm = idx ^ flip
-    # (P v)[j] = coef[perm[j]] * v[perm[j]]; every caller shares these arrays
-    phase = coef[perm]
-    perm.setflags(write=False)
-    phase.setflags(write=False)
-    return perm, phase
 
 
 @dataclass(frozen=True)

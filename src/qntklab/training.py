@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import AnsatzSpec, CircuitBatch, uniform_angles
+from .circuits import CircuitBatch, uniform_angles
 from .kernels import Observable, forward_adjoint, qntk
 from .linalg import RngStream
 
@@ -135,7 +135,7 @@ def gd_batch(
 
 
 def gd_optimize(
-    ansatz: AnsatzSpec, obs: Observable, psi0: np.ndarray, cfg: TrainingConfig
+    circuit: CircuitBatch, obs: Observable, psi0: np.ndarray, cfg: TrainingConfig
 ) -> Trajectory:
     """Minimize the squared residual error by exact gradient descent.
 
@@ -144,9 +144,9 @@ def gd_optimize(
     point and yields a flat trajectory.  This is :func:`gd_batch` on the one
     circuit; its divergence is raised.
     """
-    theta0 = _initial_angles(ansatz.num_layers, cfg)
+    theta0 = _initial_angles(circuit.num_layers, cfg)
     residuals, kernels, params, diverged = gd_batch(
-        ansatz.batch(),
+        circuit,
         obs.matrix,
         obs.target,
         psi0,

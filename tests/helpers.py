@@ -6,15 +6,17 @@ differences of the scalar residual, and the parameter-shift rule from shifted
 full evaluations.  The dense single-circuit paths (the circuit matrix, its
 prefix/suffix split, and layer-by-layer state evolution) live here too; the
 library evaluates circuits only in its batched engine.  They are the "second
-route" every exact formula is checked against.  They make every fixed layer
-dense first (:func:`dense_fixed`), and the dense CNOT chain that the library's
-permutation layer replaces is built here bit by bit (:func:`cnot_chain`).
+route" every exact formula is checked against.  They read a circuit's
+generators from its codes as letters (:func:`circuit_layers`), never from the
+engine's permutation and phase tables, make every fixed layer dense first
+(:func:`dense_fixed`), and build the dense CNOT chain that the library's
+permutation layer replaces bit by bit (:func:`cnot_chain`).
 """
 
 import numpy as np
 
 from qntklab import residual_error
-from qntklab.linalg import PauliString, pauli_matrix
+from qntklab.linalg import PauliString, code_letters, pauli_matrix
 
 
 def dense_fixed(w, dim: int) -> np.ndarray:
@@ -26,6 +28,43 @@ def dense_fixed(w, dim: int) -> np.ndarray:
         mat[np.arange(dim), w] = 1.0
         return mat
     return w
+
+
+def circuit_layers(circuit, s: int = 0) -> list[tuple[str, np.ndarray]]:
+    """(generator letters, dense fixed layer) of every layer of circuit ``s`` of a batch."""
+    codes = circuit.codes[s if len(circuit.codes) > 1 else 0]
+    fixed = [w[s] if w is not None and w.ndim == 3 else w for w in circuit.fixed]
+    return [(code_letters(circuit.num_qubits, int(c)), dense_fixed(w, circuit.dim)) for c, w in zip(codes, fixed)]
+
+
+def pauli_action(letters: str):
+    """Permutation and phase arrays realizing ``P @ v`` in O(D), one letter at a time.
+
+    A Pauli string maps basis state ``|b>`` to ``phase(b) * |b ^ flip_mask>``,
+    so the dense product reduces to an index gather plus elementwise phases.
+    The reference for ``circuits.code_tables``, which builds the same arrays
+    for many codes at once.
+    """
+    n = len(letters)
+    dim = 1 << n
+    idx = np.arange(dim)
+    flip = 0
+    coef = np.ones(dim, dtype=complex)
+    for q, letter in enumerate(letters):
+        bitpos = n - 1 - q
+        bits = (idx >> bitpos) & 1
+        if letter == "X":
+            flip |= 1 << bitpos
+        elif letter == "Y":
+            flip |= 1 << bitpos
+            coef = coef * (1j * (1 - 2 * bits))
+        elif letter == "Z":
+            coef = coef * (1 - 2 * bits)
+        elif letter != "I":
+            raise ValueError(f"unknown Pauli letter {letter!r}")
+    perm = idx ^ flip
+    # (P v)[j] = coef[perm[j]] * v[perm[j]]
+    return perm, coef[perm]
 
 
 def cnot_chain(n: int) -> np.ndarray:
@@ -59,8 +98,8 @@ def circuit_unitary(ansatz, theta: np.ndarray) -> np.ndarray:
     """Dense U(theta); layer 1 is the rightmost factor (applied first)."""
     theta = ansatz.check_parameters(theta)
     u = np.eye(ansatz.dim, dtype=complex)
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        u = dense_fixed(w, ansatz.dim) @ (pauli_rotation(gen, t) @ u)
+    for (gen, w), t in zip(circuit_layers(ansatz), theta):
+        u = w @ (pauli_rotation(gen, t) @ u)
     return u
 
 
@@ -76,8 +115,8 @@ def prefix_suffix(ansatz, theta: np.ndarray, ell: int) -> tuple[np.ndarray, np.n
     dim = ansatz.dim
     prefix = np.eye(dim, dtype=complex)
     suffix = np.eye(dim, dtype=complex)
-    for k in range(ansatz.num_layers):
-        gate = dense_fixed(ansatz.fixed_unitaries[k], dim) @ pauli_rotation(ansatz.generators[k], theta[k])
+    for k, (gen, w) in enumerate(circuit_layers(ansatz)):
+        gate = w @ pauli_rotation(gen, theta[k])
         if k < ell:
             prefix = gate @ prefix
         else:
@@ -91,8 +130,8 @@ def evolve_state(ansatz, theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
     if psi.shape != (ansatz.dim,):
         raise ValueError("state dimension does not match ansatz")
     out = psi
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        out = dense_fixed(w, ansatz.dim) @ rotate_state(gen, t, out)
+    for (gen, w), t in zip(circuit_layers(ansatz), theta):
+        out = w @ rotate_state(gen, t, out)
     return out
 
 

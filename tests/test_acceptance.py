@@ -174,7 +174,7 @@ def _eigen_protocol(seed: int):
             sub = rng.substream(size * 1000 + t)
             ansatz = build_random_ansatz(n, layers, sub)
             theta = uniform_angles(layers, sub.substream(0))
-            acc += supervised_kernels(ansatz.batch(), theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
+            acc += supervised_kernels(ansatz, theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
         lowest = float(np.linalg.eigvalsh(acc / 50)[0])
         rel = abs(lowest - theory) / theory if theory > 0 else abs(lowest)
         worst = max(worst, rel)
@@ -293,7 +293,7 @@ def test_criterion_8_kernel_psd_and_symmetry():
             obs = random_pauli_sum(n, 6, rng.substream(1))
             theta = uniform_angles(12, rng.substream(2))
             size = 1 + int(rng.substream(3).generator.integers(0, dim))
-            kernel = supervised_kernels(ansatz.batch(), theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
+            kernel = supervised_kernels(ansatz, theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
             worst_asym = max(worst_asym, float(np.max(np.abs(kernel - kernel.T))))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(kernel)[0]))
             count += 1

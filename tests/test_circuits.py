@@ -11,28 +11,42 @@ from qntklab.circuits import (
     chunk_grid,
     cnot_ladder,
     dense_layer,
+    sample_hardware_efficient,
     sample_random_circuits,
     uniform_angles,
 )
 from qntklab.linalg import (
     PauliString,
     RngStream,
-    _pauli_action,
+    code_letters,
     haar_unitary,
     pauli_matrix,
     sample_pauli,
     zero_state,
 )
 
-from helpers import circuit_unitary, cnot_chain, dense_fixed, evolve_state, expm_pauli, prefix_suffix
+from helpers import (
+    circuit_layers,
+    circuit_unitary,
+    cnot_chain,
+    dense_fixed,
+    evolve_state,
+    expm_pauli,
+    pauli_action,
+    prefix_suffix,
+)
 
 
 def brute_force_unitary(ansatz, theta):
     # independent route: eigendecomposition exponentials, explicit product
     u = np.eye(ansatz.dim, dtype=complex)
-    for gen, w, t in zip(ansatz.generators, ansatz.fixed_unitaries, theta):
-        u = dense_fixed(w, ansatz.dim) @ expm_pauli(gen.letters, t) @ u
+    for (gen, w), t in zip(circuit_layers(ansatz), theta):
+        u = w @ expm_pauli(gen, t) @ u
     return u
+
+
+def letters(circuit, s=0):
+    return [gen for gen, _ in circuit_layers(circuit, s)]
 
 
 def test_empty_ansatz_is_identity():
@@ -42,24 +56,24 @@ def test_empty_ansatz_is_identity():
 
 def test_random_ansatz_shapes():
     a = build_random_ansatz(2, 64, RngStream(2))
-    assert a.num_layers == 64
-    assert len(a.generators) == 64
-    assert all(w.shape == (4, 4) for w in a.fixed_unitaries)
-    assert all(not g.is_identity for g in a.generators)
+    assert a.num_layers == 64 and a.size == 1
+    assert a.codes.shape == (1, 64)
+    assert all(w.shape == (4, 4) for w in a.fixed)
+    assert all(gen != "II" for gen in letters(a))
 
 
 def test_same_stream_same_spec():
     a = build_random_ansatz(2, 6, RngStream(3, 7))
     b = build_random_ansatz(2, 6, RngStream(3, 7))
-    assert [g.letters for g in a.generators] == [g.letters for g in b.generators]
-    for wa, wb in zip(a.fixed_unitaries, b.fixed_unitaries):
+    assert np.array_equal(a.codes, b.codes)
+    for wa, wb in zip(a.fixed, b.fixed):
         assert np.array_equal(wa, wb)
 
 
 def test_zero_angles_give_fixed_unitary_product():
     a = build_random_ansatz(2, 5, RngStream(4))
     expected = np.eye(4, dtype=complex)
-    for w in a.fixed_unitaries:
+    for w in a.fixed:
         expected = w @ expected
     assert np.max(np.abs(circuit_unitary(a, np.zeros(5)) - expected)) <= 1e-12
 
@@ -93,7 +107,7 @@ def test_prefix_suffix_boundaries():
     prefix, suffix = prefix_suffix(a, theta, 5)
     assert np.array_equal(suffix, np.eye(4))
     prefix1, _ = prefix_suffix(a, theta, 1)
-    expected = a.fixed_unitaries[0] @ expm_pauli(a.generators[0].letters, theta[0])
+    expected = a.fixed[0] @ expm_pauli(letters(a)[0], theta[0])
     assert np.max(np.abs(prefix1 - expected)) <= 1e-12
 
 
@@ -145,11 +159,11 @@ def test_cphase_ladder_parameter_count():
 
 def test_cphase_ladder_axes_are_single_qubit():
     a = build_hardware_efficient(3, 2, "cphase-ladder", RngStream(14))
-    for k, gen in enumerate(a.generators):
-        weight = sum(c != "I" for c in gen.letters)
+    for gen in letters(a):
+        weight = sum(c != "I" for c in gen)
         assert weight in (1, 2)
     # every fixed layer is the identity; the couplings themselves carry the angles
-    assert all(w is None for w in a.fixed_unitaries)
+    assert all(w is None for w in a.fixed)
 
 
 def test_cnot_su2_structure():
@@ -158,8 +172,8 @@ def test_cnot_su2_structure():
     chain = cnot_chain(2)
     theta = uniform_angles(6, RngStream(16))
     rotations = np.eye(4, dtype=complex)
-    for gen, t in zip(a.generators, theta):
-        rotations = expm_pauli(gen.letters, t) @ rotations
+    for gen, t in zip(letters(a), theta):
+        rotations = expm_pauli(gen, t) @ rotations
     assert np.max(np.abs(circuit_unitary(a, theta) - chain @ rotations)) <= 1e-12
     # all-zero angles leave just the entangler
     assert np.max(np.abs(circuit_unitary(a, np.zeros(6)) - chain)) <= 1e-12
@@ -191,23 +205,23 @@ def test_cnot_chain_matrix():
 def test_spec_arrays_are_read_only():
     a = build_random_ansatz(2, 2, RngStream(19))
     with pytest.raises(ValueError):
-        a.fixed_unitaries[0][0, 0] = 0.0
+        a.fixed[0][0, 0] = 0.0
 
 
 def test_batch_arrays_are_read_only():
     # the cached gate factors are built from them, so an in-place write must fail
     sampled = sample_random_circuits(2, 3, [RngStream(24, (k,)) for k in range(2)])
-    specs = [build_random_ansatz(2, 3, RngStream(24, (k,))) for k in range(2)]
-    stacked = CircuitBatch.from_specs(specs)
-    assert stacked.fixed[0].shape == (2, 4, 4)
+    repeated = build_random_ansatz(2, 3, RngStream(24, (0,))).repeat(2)
+    assert sampled.fixed[0].shape == (2, 4, 4) and repeated.fixed[0].shape == (4, 4)
     arrays = [
         sampled.fixed[0],
+        sampled.codes,
         sampled.perms,
         sampled.phases,
-        stacked.fixed[1],
-        stacked.perms,
-        stacked.phases,
-        *_pauli_action("XY"),
+        repeated.fixed[1],
+        repeated.codes,
+        repeated.perms,
+        repeated.phases,
         *sampled.gate_factors(),
     ]
     for arr in arrays:
@@ -217,15 +231,37 @@ def test_batch_arrays_are_read_only():
 
 def test_gate_factors_are_the_fixed_unitary_and_its_product_with_the_generator():
     # stacked layers with per-circuit generators, and shared ones
-    specs = [build_random_ansatz(3, 4, RngStream(25, (k,))) for k in range(3)]
-    for batch, members in ((CircuitBatch.from_specs(specs), specs), (specs[0].batch(2), specs[:1] * 2)):
+    streams = [RngStream(25, (k,)) for k in range(3)]
+    for batch in (sample_random_circuits(3, 4, streams), build_random_ansatz(3, 4, streams[0]).repeat(2)):
         w, wx = batch.gate_factors()
-        assert w.shape == wx.shape == (4, len(members), 8, 8)
+        assert w.shape == wx.shape == (4, batch.size, 8, 8)
         assert batch.gate_factors()[1] is wx  # built once
-        for s, spec in enumerate(members):
-            for k, (gen, fixed) in enumerate(zip(spec.generators, spec.fixed_unitaries)):
+        for s in range(batch.size):
+            for k, (gen, fixed) in enumerate(circuit_layers(batch, s)):
                 assert np.array_equal(w[k, s], fixed)
                 assert np.max(np.abs(wx[k, s] - fixed @ pauli_matrix(gen))) <= 1e-15
+
+
+def test_hand_built_circuit_is_a_one_circuit_batch():
+    w = haar_unitary(4, RngStream(27))
+    a = AnsatzSpec(2, (PauliString("XZ"), "IY", PauliString("ZI")), (w, None, cnot_ladder(2)))
+    assert isinstance(a, CircuitBatch) and a.size == 1 and a.num_layers == 3
+    assert letters(a) == ["XZ", "IY", "ZI"]
+    assert a.fixed[0] is w and a.fixed[1] is None
+    theta = np.array([0.3, -1.1, 2.0])
+    expected = cnot_chain(2) @ expm_pauli("ZI", 2.0) @ expm_pauli("IY", -1.1) @ w @ expm_pauli("XZ", 0.3)
+    assert np.max(np.abs(circuit_unitary(a, theta) - expected)) <= 1e-12
+
+
+def test_generator_of_the_wrong_width_rejected():
+    with pytest.raises(ValueError, match="act on 2 qubits"):
+        AnsatzSpec(2, (PauliString("XZ"), PauliString("XYZ")), (None, None))
+
+
+def test_single_circuit_calls_reject_a_larger_batch():
+    batch = sample_random_circuits(2, 3, [RngStream(28, (k,)) for k in range(2)])
+    with pytest.raises(ValueError, match="one circuit"):
+        residual_error(batch, np.zeros(3), Observable(((1.0, PauliString("ZZ")),)), zero_state(2))
 
 
 def test_mismatched_layer_lists_rejected():
@@ -251,25 +287,52 @@ def test_batched_sampler_matches_circuits_built_alone(n, layers):
         for k in range(layers):
             gen = sample_pauli(n, rng)
             w = haar_unitary(1 << n, rng)
-            assert gen == alone.generators[k]
-            assert np.array_equal(alone.fixed_unitaries[k], w)
+            assert gen.letters == code_letters(n, int(alone.codes[0, k]))
+            assert np.array_equal(alone.fixed[k], w)
             assert np.array_equal(batch.fixed[k][s], w)
-            perm, phase = _pauli_action(gen.letters)
+            perm, phase = pauli_action(gen.letters)
             assert np.array_equal(batch.perms[k, s], perm)
             assert np.array_equal(batch.phases[k, s], phase)
 
 
-def test_batch_shares_equal_layers_without_copies():
-    specs = [build_hardware_efficient(3, 2, "cphase-ladder", RngStream(21, (k,))) for k in range(3)]
-    batch = CircuitBatch.from_specs(specs)
-    assert all(w is None for w in batch.fixed)
-    # each circuit builds its own ladder array; the equal arrays are passed once
-    specs = [build_hardware_efficient(3, 2, "cnot-su2", RngStream(21, (k,))) for k in range(3)]
-    batch = CircuitBatch.from_specs(specs)
-    assert batch.fixed[8] is specs[0].fixed_unitaries[8]
-    assert batch.fixed[8].shape == (8,)
-    shared = build_random_ansatz(2, 4, RngStream(22)).batch(5)
-    assert shared.size == 5 and shared.perms.shape == (4, 1, 4)
+@pytest.mark.parametrize("variant", ["cphase-ladder", "cnot-su2"])
+def test_hardware_efficient_sampler_matches_circuits_built_alone(variant):
+    streams = [RngStream(21, (k,)) for k in range(3)]
+    batch = sample_hardware_efficient(3, 2, variant, streams)
+    assert batch.size == 3 and batch.num_layers == 2 * {"cphase-ladder": 5, "cnot-su2": 9}[variant]
+    for s in range(3):
+        alone = build_hardware_efficient(3, 2, variant, RngStream(21, (s,)))
+        assert alone.size == 1
+        assert np.array_equal(batch.codes[min(s, len(batch.codes) - 1)], alone.codes[0])
+        for w, v in zip(batch.fixed, alone.fixed):
+            assert (w is None and v is None) or np.array_equal(w, v)
+    # nothing is drawn for cnot-su2, so its circuits share one row of codes
+    assert batch.codes.shape == ((1, 18) if variant == "cnot-su2" else (3, 10))
+
+
+def test_batches_share_layers_without_copies():
+    # the ladder is one array for every block and every circuit
+    batch = sample_hardware_efficient(3, 2, "cnot-su2", [RngStream(21, (k,)) for k in range(3)])
+    assert batch.fixed[8] is batch.fixed[17] and batch.fixed[8].shape == (8,)
+    assert all(w is None for k, w in enumerate(batch.fixed) if k not in (8, 17))
+    cphase = sample_hardware_efficient(3, 2, "cphase-ladder", [RngStream(21, (k,)) for k in range(3)])
+    assert all(w is None for w in cphase.fixed)
+    # a repeated circuit passes its codes and every layer on as they are
+    for one in (build_random_ansatz(2, 4, RngStream(22)), build_hardware_efficient(3, 2, "cnot-su2", RngStream(22))):
+        shared = one.repeat(5)
+        assert shared.size == 5 and shared.perms.shape == (one.num_layers, 1, one.dim)
+        assert shared.codes is one.codes
+        assert all(w is v for w, v in zip(shared.fixed, one.fixed))
+    # a per-circuit layer of a one-circuit batch is passed on as its (D, D) view
+    single = sample_random_circuits(2, 3, [RngStream(22)])
+    assert single.fixed[0].shape == (1, 4, 4)
+    repeated = single.repeat(2)
+    assert repeated.fixed[0].shape == (4, 4) and np.shares_memory(repeated.fixed[0], single.fixed[0])
+
+
+def test_only_one_circuit_is_repeated():
+    with pytest.raises(ValueError, match="only one circuit"):
+        sample_random_circuits(2, 3, [RngStream(23, (k,)) for k in range(2)]).repeat(4)
 
 
 def test_each_fixed_array_is_checked_once(monkeypatch):
@@ -288,10 +351,10 @@ def test_hardware_efficient_circuit_holds_no_dense_layer(monkeypatch):
     monkeypatch.setattr(circuits, "is_unitary", lambda w: calls.append(w) or True)
     a = build_hardware_efficient(9, 1, "cnot-su2", RngStream(26))
     assert a.num_layers == 27 and calls == []
-    assert all(w is None for w in a.fixed_unitaries[:-1])
-    assert a.fixed_unitaries[-1].shape == (512,)
+    assert all(w is None for w in a.fixed[:-1])
+    assert a.fixed[-1].shape == (512,)
     b = build_hardware_efficient(9, 1, "cphase-ladder", RngStream(26))
-    assert all(w is None for w in b.fixed_unitaries) and calls == []
+    assert all(w is None for w in b.fixed) and calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -317,15 +380,17 @@ def test_bad_permutation_layer_rejected(perm, message):
         AnsatzSpec(2, (PauliString("XZ"),), (np.array(perm),))
 
 
-def test_batch_makes_a_layer_dense_where_its_form_differs():
-    # layer 1: identity in one circuit, permutation in another, Haar in the third
-    w = haar_unitary(4, RngStream(27))
-    gens = (PauliString("XZ"), PauliString("YY"))
-    specs = [AnsatzSpec(2, gens, (f, None)) for f in (None, cnot_ladder(2), w)]
-    batch = CircuitBatch.from_specs(specs)
-    assert batch.fixed[1] is None
-    expected = np.stack([np.eye(4), cnot_chain(2), w])
-    assert batch.fixed[0].shape == (3, 4, 4) and np.array_equal(batch.fixed[0], expected)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_code_tables_match_the_letter_by_letter_oracle_bit_for_bit(n):
+    # every code of n qubits, in one (S, L) array; signed zeros included
+    codes = np.arange(4**n).reshape(4, -1)
+    perms, phases = circuits.code_tables(n, codes)
+    assert perms.shape == phases.shape == (4 ** (n - 1), 4, 1 << n)
+    for s, row in enumerate(codes):
+        for k, code in enumerate(row):
+            perm, phase = pauli_action(code_letters(n, int(code)))
+            assert perms[k, s].dtype == perm.dtype and np.array_equal(perms[k, s], perm)
+            assert phases[k, s].tobytes() == phase.tobytes()
 
 
 def test_chunk_grid_is_fixed_by_size():

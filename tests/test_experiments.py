@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from qntklab.experiments import (
     validate_config,
 )
 from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk, uniform_angles
-from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _eigen_chunk
+from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _eigen_chunk, _engine_entry_bytes, _qntk_chunk
 from qntklab.kernels import supervised_kernels
 from qntklab.linalg import RngStream
 from qntklab.training import gd_batch, squared_loss
@@ -287,7 +288,7 @@ def test_train_supervised_trials_match_the_library(tmp_path):
     features = np.eye(8, dtype=complex)[:5]
     for k in range(cfg["trials"]):
         stream = RngStream(cfg["seed"], (_LANE_TRIALS, k))
-        batch = build_random_ansatz(3, 64, stream).batch()
+        batch = build_random_ansatz(3, 64, stream)
         theta0 = uniform_angles(64, stream.substream(0))[None, :]
         residuals, kernels, _, _ = gd_batch(batch, obs.matrix, labels, features, theta0, cfg["eta"], cfg["steps"])
         lines = (tmp_path / "trials" / f"trial_{k}.csv").read_text().splitlines()[2:]
@@ -307,7 +308,7 @@ def test_eigen_scan_trials_match_the_library(tmp_path):
         lines = (tmp_path / "trials" / f"trial_{si}.csv").read_text().splitlines()[2:]
         for k, (lowest, kernel) in enumerate(chunked):
             stream = RngStream(cfg["seed"], (_LANE_TRIALS, si, k))
-            batch = build_random_ansatz(3, 64, stream).batch()
+            batch = build_random_ansatz(3, 64, stream)
             theta = uniform_angles(64, stream.substream(0))[:, None]
             reference = supervised_kernels(batch, theta, features, obs.matrix)[0]
             scale = np.max(np.abs(reference))
@@ -596,7 +597,7 @@ def test_engine_row_arrays_count_toward_the_memory_limit():
     for ansatz in ("random-haar", "hardware-efficient-cnot"):
         with pytest.raises(ConfigError, match="'qubits/layers'"):
             validate_config(qntk_cfg(qubits=13, layers=[100000], ansatz=ansatz, observable=_RANDOM))
-    # the hardware-efficient layer count is depth * 3n: about 1.6 GiB here
+    # the hardware-efficient layer count is depth * 3n: about 1.8 GiB here
     assert validate_config(qntk_cfg(qubits=13, layers=[64], ansatz="hardware-efficient-cnot", observable=_RANDOM))
     with pytest.raises(ConfigError, match="'qubits/layers'"):
         validate_config(qntk_cfg(qubits=13, layers=[128], ansatz="hardware-efficient-cnot", observable=_RANDOM))
@@ -607,6 +608,28 @@ def test_engine_row_arrays_count_toward_the_memory_limit():
         validate_config(dict(wide, train_size=4096))
     with pytest.raises(ConfigError, match="'qubits/layers'"):
         validate_config(scan_cfg(qubits=12, layers=4, train_sizes=[2, 4096]))
+
+
+@pytest.mark.parametrize(
+    "ansatz, layers",
+    [("hardware-efficient-cnot", 16), ("random-haar", 480)],
+    ids=["cnot-per-layer", "haar-lazy"],
+)
+def test_chunk_peak_memory_stays_within_the_guard_estimate(ansatz, layers):
+    # one 10-qubit circuit of 480 rotation layers, built and evaluated on the
+    # per-layer path or on lazy Haar layers; the observable's matrix is built
+    # first, so the traced peak is what the engine's count must cover
+    cfg = validate_config(qntk_cfg(qubits=10, layers=[layers], samples=1, ansatz=ansatz, observable=_RANDOM))
+    obs = realize_observable(cfg)
+    obs.matrix
+    payload = {"cfg": cfg, "observable": obs, "layer_index": 0, "layers": layers}
+    tracemalloc.start()
+    try:
+        _qntk_chunk(payload, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _engine_entry_bytes(cfg) << 10
 
 
 _HEA_BASES = {

@@ -87,25 +87,6 @@ def test_mc_kbar_instance_mode_matches_closed_form():
     assert abs(est.z_score) <= 3
 
 
-def test_mc_kbar_angle_mode_is_positive_and_deterministic():
-    a = mc_kbar(2, 8, ZZ, zero_state(2), 400, RngStream(11), mode="angle")
-    b = mc_kbar(2, 8, ZZ, zero_state(2), 400, RngStream(11), mode="angle")
-    assert a.mean > 0
-    assert a.mean == b.mean
-    assert a.std_error == b.std_error
-
-
-def test_mc_kbar_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        mc_kbar(2, 4, ZZ, zero_state(2), 10, RngStream(12), mode="both")
-
-
-def test_mc_kbar_returns_samples_when_asked():
-    est, values = mc_kbar(2, 4, ZZ, zero_state(2), 64, RngStream(13), return_samples=True)
-    assert len(values) == 64
-    assert est.mean == pytest.approx(values.mean(), rel=1e-12)
-
-
 def test_supervised_kernel_entry_means_match_closed_forms():
     # diagonal (overlapping features) and off-diagonal (orthogonal features)
     # entries of the ensemble-averaged kernel against the exact formulas
@@ -117,7 +98,7 @@ def test_supervised_kernel_entry_means_match_closed_forms():
         sub = rng.substream(s)
         ansatz = build_random_ansatz(2, 16, sub)
         theta = uniform_angles(16, sub.substream(0))
-        kernel = supervised_kernels(ansatz.batch(), theta[:, None], features, ZZ.matrix)[0]
+        kernel = supervised_kernels(ansatz, theta[:, None], features, ZZ.matrix)[0]
         diag[s] = kernel[0, 0]
         off[s] = kernel[0, 1]
     z_diag = (diag.mean() - supervised_kbar(4, 16, 1.0, 4.0).exact) / (diag.std(ddof=1) / np.sqrt(1500))

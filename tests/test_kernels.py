@@ -31,17 +31,19 @@ from qntklab.kernels import (
 from qntklab.linalg import (
     PauliString,
     RngStream,
-    _pauli_action,
     basis_state,
+    code_letters,
     haar_unitary,
+    pauli_code,
     pauli_matrix,
-    sample_pauli,
     zero_state,
 )
 
 from helpers import (
+    circuit_layers,
     circuit_unitary,
     cnot_chain,
+    dense_fixed,
     dense_output_and_gradient,
     fd_gradient,
     fd_hessian,
@@ -169,7 +171,7 @@ def test_gradient_equals_prefix_suffix_commutator_sandwich():
             prefix = np.eye(4, dtype=complex)
         else:
             prefix, _ = prefix_suffix(ansatz, theta, ell - 1)
-        frame_gen = prefix.conj().T @ pauli_matrix(ansatz.generators[ell - 1]) @ prefix
+        frame_gen = prefix.conj().T @ pauli_matrix(circuit_layers(ansatz)[ell - 1][0]) @ prefix
         comm = frame_gen @ heis - heis @ frame_gen
         value = -1j * np.vdot(psi, comm @ psi)
         assert abs(value.imag) <= 1e-10
@@ -204,7 +206,7 @@ def test_zero_layer_supervised_kernel_is_zero():
     empty = build_random_ansatz(2, 0, RngStream(3))
     for obs in (ZZ, Observable(((1.0, PauliString("XX")),))):
         feats = np.eye(4, dtype=complex)[:3]
-        kernel = supervised_kernels(empty.batch(2), np.empty((0, 2)), feats, obs.matrix)
+        kernel = supervised_kernels(empty.repeat(2), np.empty((0, 2)), feats, obs.matrix)
         assert kernel.shape == (2, 3, 3) and not np.any(kernel)
 
 
@@ -237,7 +239,7 @@ def test_hessian_diagonal_double_commutator_identity():
     frame = []
     for ell in range(1, 6):
         c = np.eye(4, dtype=complex) if ell == 1 else prefix_suffix(ansatz, theta, ell - 1)[0]
-        frame.append(c.conj().T @ pauli_matrix(ansatz.generators[ell - 1]) @ c)
+        frame.append(c.conj().T @ pauli_matrix(circuit_layers(ansatz)[ell - 1][0]) @ c)
     for a in range(5):
         for b in range(a, 5):
             inner = frame[b] @ heis - heis @ frame[b]
@@ -247,8 +249,8 @@ def test_hessian_diagonal_double_commutator_identity():
     # diagonal entries also equal the conjugated double-commutator sandwich
     for ell in range(1, 6):
         prefix, suffix = prefix_suffix(ansatz, theta, ell)
-        w = ansatz.fixed_unitaries[ell - 1]
-        xhat = w @ pauli_matrix(ansatz.generators[ell - 1]) @ w.conj().T
+        gen, w = circuit_layers(ansatz)[ell - 1]
+        xhat = w @ pauli_matrix(gen) @ w.conj().T
         pulled = suffix.conj().T @ obs.matrix @ suffix
         inner = xhat @ pulled - pulled @ xhat
         double = xhat @ inner - inner @ xhat
@@ -272,14 +274,14 @@ def test_real_expectation_guard():
     vec = np.array([1.0, 1.0j]) / np.sqrt(2)
     empty = build_random_ansatz(1, 0, RngStream(20))
     with pytest.raises(NonRealExpectationError):
-        forward_adjoint(empty.batch(), np.empty((0, 1)), vec, non_hermitian)
+        forward_adjoint(empty, np.empty((0, 1)), vec, non_hermitian)
 
 
 def test_supervised_single_pair_reduces_to_qntk():
     rng = RngStream(14)
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta = uniform_angles(6, rng.substream(1))
-    kernel = supervised_kernels(ansatz.batch(), theta[:, None], np.eye(4, dtype=complex)[:1], ZZ.matrix)
+    kernel = supervised_kernels(ansatz, theta[:, None], np.eye(4, dtype=complex)[:1], ZZ.matrix)
     g = gradient(ansatz, theta, ZZ, basis_state(2, 0))
     assert kernel.shape == (1, 1, 1)
     assert kernel[0, 0, 0] == qntk(g)
@@ -290,7 +292,7 @@ def test_supervised_duplicate_samples_give_equal_rows():
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta = uniform_angles(6, rng.substream(1))
     feats = np.stack([basis_state(2, 1), basis_state(2, 1)])
-    kernel = supervised_kernels(ansatz.batch(), theta[:, None], feats, ZZ.matrix)[0]
+    kernel = supervised_kernels(ansatz, theta[:, None], feats, ZZ.matrix)[0]
     assert np.allclose(kernel[0], kernel[1], atol=1e-12)
     assert abs(np.linalg.det(kernel)) <= 1e-10
 
@@ -303,7 +305,7 @@ def test_supervised_kernel_symmetric_psd(n, size):
         obs = random_pauli_sum(n, 6, rng.substream(1))
         theta = uniform_angles(8, rng.substream(2))
         feats = np.eye(1 << n, dtype=complex)[:size]
-        kernel = supervised_kernels(ansatz.batch(), theta[:, None], feats, obs.matrix)[0]
+        kernel = supervised_kernels(ansatz, theta[:, None], feats, obs.matrix)[0]
         assert np.max(np.abs(kernel - kernel.T)) <= 1e-10
         assert np.linalg.eigvalsh(kernel)[0] >= -1e-10
 
@@ -327,7 +329,7 @@ def test_supervised_multi_output_index_order():
 def test_empty_training_set_rejected():
     ansatz = build_random_ansatz(2, 3, RngStream(21))
     with pytest.raises(ValueError):
-        supervised_kernels(ansatz.batch(), np.zeros((3, 1)), np.empty((0, 4), dtype=complex), ZZ.matrix)
+        supervised_kernels(ansatz, np.zeros((3, 1)), np.empty((0, 4), dtype=complex), ZZ.matrix)
 
 
 def test_unnormalized_state_rejected():
@@ -362,11 +364,9 @@ def test_mixed_engine_call_matches_single_circuit_oracle(points, path, monkeypat
     rng = RngStream(31)
     own = [np.stack([haar_unitary(dim, rng.substream(100 * k + s)) for s in range(size)]) for k in (0, 2)]
     fixed = (own[0], haar_unitary(dim, rng.substream(7)), own[1], cnot_chain(n))
-    letters = [[sample_pauli(n, rng.substream(1000 + s)).letters for _ in range(layers)] for s in range(size)]
-    actions = [[_pauli_action(x) for x in row] for row in letters]
-    perms = np.array([[actions[s][k][0] for s in range(size)] for k in range(layers)])
-    phases = np.array([[actions[s][k][1] for s in range(size)] for k in range(layers)])
-    batch = CircuitBatch(n, size, fixed, perms, phases)
+    codes = np.array([[pauli_code(n, rng.substream(1000 + s)) for _ in range(layers)] for s in range(size)])
+    letters = [[code_letters(n, int(c)) for c in row] for row in codes]
+    batch = CircuitBatch(n, size, fixed, codes)
     theta = rng.substream(2).generator.uniform(0.0, 2.0 * np.pi, size=(layers, size))
     states = rng.substream(3).generator.standard_normal((size * points, dim, 2)) @ np.array([1.0, 1.0j])
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -435,15 +435,14 @@ def test_engine_paths_agree_with_each_other_and_the_dense_oracle(
     letters = [
         ["".join(gen.choice(list("IXYZ"), size=n)) for _ in range(layers)] for _ in range(owners)
     ]
-    specs = [
-        AnsatzSpec(
-            n,
-            tuple(PauliString(x) for x in letters[s if own_generators else 0]),
-            tuple(fixed[k][s] for k in range(layers)),
-        )
-        for s in range(size)
-    ]
-    batch = CircuitBatch.from_specs(specs)
+    # base-4 codes: the letters' indices in "IXYZ", qubit 0 the top digit
+    digits = {"I": "0", "X": "1", "Y": "2", "Z": "3"}
+    codes = np.array([[int("".join(map(digits.get, x)), 4) for x in row] for row in letters], dtype=np.int64)
+    # a stacked layer holds one dense matrix per circuit, whatever form each was drawn in
+    layer_arrays = tuple(
+        np.stack([dense_fixed(w, dim) for w in fixed[k]]) if stacked[k] else fixed[k][0] for k in range(layers)
+    )
+    batch = CircuitBatch(n, size, layer_arrays, codes)
     theta = gen.uniform(0.0, 2.0 * np.pi, size=(layers, size))
     states = gen.standard_normal((size * points, dim)) + 1j * gen.standard_normal((size * points, dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -474,4 +473,4 @@ def test_engine_rejects_unnormalized_row():
     ansatz = build_random_ansatz(2, 3, RngStream(32))
     states = np.stack([zero_state(2), 2.0 * basis_state(2, 1)])
     with pytest.raises(ValueError, match="normalized"):
-        forward_adjoint(ansatz.batch(2), np.zeros((3, 2)), states, ZZ.matrix)
+        forward_adjoint(ansatz.repeat(2), np.zeros((3, 2)), states, ZZ.matrix)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from qntklab.circuits import code_tables
 from qntklab.haar import mc_second_moment
 from qntklab.linalg import (
     PauliString,
     RngStream,
-    _pauli_action,
     basis_state,
     haar_unitary,
     is_unitary,
@@ -50,7 +50,8 @@ def test_pauli_apply_matches_dense(n):
     gen = np.random.default_rng(n + 10)
     for _ in range(25):
         letters = random_letters(n, gen)
-        perm, phase = _pauli_action(letters)
+        perms, phases = code_tables(n, np.array([[int("".join(str("IXYZ".index(x)) for x in letters), 4)]]))
+        perm, phase = perms[0, 0], phases[0, 0]
         vec = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
         assert np.allclose(phase * vec[perm], pauli_matrix(letters) @ vec, atol=1e-13)
         mat = gen.standard_normal((2**n, 2**n)) + 1j * gen.standard_normal((2**n, 2**n))

@@ -119,7 +119,7 @@ def test_supervised_reduction_matches_single_target_exactly():
     theta0 = uniform_angles(6, rng.substream(1))
     label = 0.25
     residuals, kernels, params, diverged = gd_batch(
-        ansatz.batch(), ZZ.matrix, np.array([label]), np.eye(4, dtype=complex)[:1], theta0[None, :], 2e-3, 40, True
+        ansatz, ZZ.matrix, np.array([label]), np.eye(4, dtype=complex)[:1], theta0[None, :], 2e-3, 40, True
     )
     cfg = TrainingConfig(learning_rate=2e-3, steps=40, init_angles=theta0, record_parameters=True)
     single = gd_optimize(ansatz, Observable(ZZ.terms, target=label), zero_state(2), cfg)
@@ -136,8 +136,8 @@ def test_supervised_zero_update_when_labels_match_outputs():
     theta0 = uniform_angles(5, rng.substream(1))
     obs = random_pauli_sum(2, 4, rng.substream(2))
     feats = np.eye(4, dtype=complex)[:3]
-    z, _ = forward_adjoint(ansatz.batch(), theta0[:, None], feats, obs.matrix)
-    residuals, _, params, _ = gd_batch(ansatz.batch(), obs.matrix, z, feats, theta0[None, :], 1e-2, 10, True)
+    z, _ = forward_adjoint(ansatz, theta0[:, None], feats, obs.matrix)
+    residuals, _, params, _ = gd_batch(ansatz, obs.matrix, z, feats, theta0[None, :], 1e-2, 10, True)
     assert np.max(np.abs(squared_loss(residuals[0]))) <= 1e-24
     assert np.array_equal(params[0, 0], params[0, -1])
 
@@ -155,7 +155,7 @@ def test_supervised_loss_decays_exponentially():
         labels = 2.0 * label_gen.generator.integers(0, 2, size=3) - 1.0
         theta0 = uniform_angles(64, sub.substream(0))
         feats = np.eye(4, dtype=complex)[:3]
-        residuals, _, _, _ = gd_batch(ansatz.batch(), obs.matrix, labels, feats, theta0[None, :], 1e-3, 150)
+        residuals, _, _, _ = gd_batch(ansatz, obs.matrix, labels, feats, theta0[None, :], 1e-3, 150)
         losses = squared_loss(residuals[0])
         final_over_initial.append(losses[-1] / losses[0])
     assert np.mean(final_over_initial) < 0.05
@@ -257,7 +257,7 @@ def test_batched_supervised_rows_match_solo_runs_and_divergence():
 
     def solo(k, init):
         ansatz = build_random_ansatz(2, 6, RngStream(14, (k,)))
-        return gd_batch(ansatz.batch(), obs.matrix, labels, feats, init[None, :], 1e-2, 30)
+        return gd_batch(ansatz, obs.matrix, labels, feats, init[None, :], 1e-2, 30)
 
     healthy = gd_batch(batch, obs.matrix, labels, psi0, theta0, 1e-2, 30)
     assert healthy[0].shape == (3, 31, 3) and healthy[3] == {}
