@@ -15,7 +15,8 @@ draw ensembles straight into a batch (:func:`sample_random_circuits`,
 samplers on one stream, and :class:`AnsatzSpec` validates a hand-built one.
 The ``instance`` kernel ensembles of random-Haar ``qntk-stats`` evaluate each
 circuit once, so ``kernels.haar_instance_kernels`` draws their Haar layers
-lazily, two vectors per layer, and never builds a batch.  The chunk grid
+lazily, two vectors per layer, in closed form for all layers at once, and
+never builds a batch.  The chunk grid
 (:func:`chunk_grid`) sizes the chunks of either by the bytes a circuit keeps.
 
 A fixed layer W takes one of three forms.  ``None`` is the identity.  A 1-D
@@ -33,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    PAULI_LETTERS,
     STACK_BYTES,
     RngStream,
     ginibre,
     haar_from_ginibre,
     is_unitary,
+    letters_code,
     matrices_per_block,
     pauli_code,
     zero_state,
@@ -200,8 +201,7 @@ class AnsatzSpec(CircuitBatch):
             elif not is_unitary(w):
                 raise ValueError(NOT_UNITARY)
             checked.add(id(w))
-        # the base-4 digits of a code are the letters' indices in "IXYZ"
-        codes = [int("".join(str(PAULI_LETTERS.index(x)) for x in str(g)), 4) for g in generators]
+        codes = [letters_code(str(g)) for g in generators]
         super().__init__(num_qubits, 1, tuple(fixed_unitaries), np.array([codes], dtype=np.int64))
 
 
@@ -234,9 +234,9 @@ def samples_per_chunk(dim: int, layers: int, lazy: bool = False) -> int:
     """Circuits per ensemble chunk: as many circuits as fit in STACK_BYTES.
 
     A random-Haar circuit holds L dense (D, D) layers.  With ``lazy`` Haar
-    layers (``kernels.haar_instance_kernels``) its largest array is its
-    normals, 4 L D floats; the chunk's normals fit the budget, and each of
-    its other (L, S, D) arrays takes half of it or less.  The chunk grid of
+    layers (``kernels.haar_instance_kernels``) what it holds is its
+    normals, 4 L D floats; the chunk's normals fit the budget, and the
+    kernel cuts its other arrays into blocks of layers that fit it too.  The chunk grid of
     an ensemble depends only on its width and depth and on which of the two
     it is, never on how many workers compute it, so every circuit is always
     batched with the same companions and results do not depend on the worker

@@ -27,8 +27,9 @@ from .circuits import (
     sample_random_circuits,
 )
 from .haar import mc_commutator_trace, mc_second_moment
-from .kernels import Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum, supervised_kernels
-from .linalg import PauliString, RngStream, kahan_sum, pauli_matrix, zero_state
+from .kernels import LAZY_ENTRY_BYTES, Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum
+from .kernels import supervised_kernels
+from .linalg import STACK_BYTES, PauliString, RngStream, kahan_sum, pauli_matrix, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
 from .training import fit_decay_rate, gd_batch, squared_loss
 
@@ -315,27 +316,36 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
     return out
 
 
-def _rotation_layers(cfg: dict) -> int:
-    """L of the deepest circuit: a hardware-efficient block has 3n rotations for cnot, 2n - 1 for cphase."""
-    n, depth = cfg["qubits"], cfg["layers"]
+def _rotation_layers(cfg: dict, depth: int | None = None) -> int:
+    """L at ``depth``, by default the deepest: a hardware-efficient block has 3n rotations (cnot), 2n - 1 (cphase)."""
+    n, depth = cfg["qubits"], cfg["layers"] if depth is None else depth
     depth = max(depth) if isinstance(depth, list) else depth
     return depth * {"hardware-efficient-cnot": 3 * n, "hardware-efficient-cphase": 2 * n - 1}.get(cfg.get("ansatz"), 1)
+
+
+def _theory_layers(cfg: dict, depth: int) -> tuple[int, float]:
+    """L and ``theory.kbar_exact``'s expected ``sum_tr_x2``: each rotation adds D, an identity generator 0."""
+    layers, n = _rotation_layers(cfg, depth), cfg["qubits"]
+    identity = not cfg["exclude_identity"] and cfg.get("ansatz", "random-haar") == "random-haar"
+    return layers, layers * (1 << n) * (1.0 - 4.0**-n if identity else 1.0)
 
 
 def _engine_entry_bytes(cfg: dict) -> int:
     """Bytes per basis state that the engine holds for one circuit of a validated config.
 
-    Per rotation layer, the per-layer loop keeps the state of each row (16
-    bytes per entry) and the generator's permutation and phase tables (24);
-    lazy Haar layers add each row's image under the layer (16) and the
-    layer's forward and backward normals (32).  One layer's temporaries add
-    64 complex vectors per row.  The supervised kinds give a circuit one row
-    per training point.  The fused path keeps two states per row and layer,
-    but runs only on chunks whose gates fit ``STACK_BYTES``.
+    The per-layer loop keeps per layer the state of each row (16 bytes per
+    entry; a supervised circuit has a row per training point) and the
+    generator tables (24), and 64 vectors per row of temporaries.  Lazy Haar
+    layers keep their normals (32 per layer), one block of layers that fits
+    ``STACK_BYTES`` and one layer more, and 64 bytes per layer of codes and
+    angles.  The fused path runs only on chunks whose gates fit ``STACK_BYTES``.
     """
+    layers = _rotation_layers(cfg)
+    if _lazy_haar(cfg):
+        block = max(1, STACK_BYTES // (LAZY_ENTRY_BYTES << cfg["qubits"]))
+        return 32 * layers + LAZY_ENTRY_BYTES * (min(layers, block) + 1) + (64 * layers >> cfg["qubits"])
     rows = cfg.get("train_size", max(cfg.get("train_sizes", [1])))
-    per_layer = 16 * rows + 24 + (16 * rows + 32 if _lazy_haar(cfg) else 0)
-    return _rotation_layers(cfg) * per_layer + 64 * 16 * rows
+    return layers * (16 * rows + 24) + 64 * 16 * rows
 
 
 def load_config(path: str | Path, kind: str | None = None) -> dict:
@@ -506,9 +516,10 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
         values = np.asarray(values)
         mean = kahan_sum(values) / len(values)
         std = float(np.sqrt(kahan_sum((values - mean) ** 2) / (len(values) - 1))) if len(values) > 1 else 0.0
-        k_exact = kbar_exact(dim, layers, tr_o2, tr_o)
-        k_lead = kbar_leading(dim, layers, tr_o2)
-        dk = delta_k(dim, layers, tr_o2, tr_o4)
+        rotations, sum_tr_x2 = _theory_layers(cfg, layers)
+        k_exact = kbar_exact(dim, rotations, tr_o2, tr_o, sum_tr_x2)
+        k_lead = kbar_leading(dim, rotations, tr_o2)
+        dk = delta_k(dim, rotations, tr_o2, tr_o4)
         summary_rows.append(
             [
                 layers,
@@ -610,7 +621,8 @@ def run_train(cfg: dict, out_dir: Path) -> int:
             [[t, e, kv] for t, (e, kv) in enumerate(zip(res["errors"], res["kernels"]))],
             digest,
         )
-    rate_pred = gamma(dim, cfg["layers"], obs.trace_power(2), obs.trace_power(1), cfg["eta"])
+    rotations, sum_tr_x2 = _theory_layers(cfg, cfg["layers"])
+    rate_pred = gamma(dim, rotations, obs.trace_power(2), obs.trace_power(1), cfg["eta"], sum_tr_x2)
     summary_rows = []
     if live:
         log_abs = np.stack([np.log(np.maximum(np.abs(r["errors"]), 1e-300)) for r in live])
@@ -727,7 +739,7 @@ def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
         results = _map_chunks(_eigen_chunk, payload, grid, cfg["threads"])
         lowest_each = np.array([r[0] for r in results])
         mean_kernel = np.mean([r[1] for r in results], axis=0)
-        spectrum = kernel_eigenvalues(dim, cfg["layers"], size, tr_o2, tr_o)
+        spectrum = kernel_eigenvalues(dim, cfg["layers"], size, tr_o2, tr_o, _theory_layers(cfg, cfg["layers"])[1])
         lowest_of_mean = float(np.linalg.eigvalsh(mean_kernel)[0])
         summary_rows.append(
             [

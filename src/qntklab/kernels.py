@@ -33,18 +33,18 @@ Wider or deeper chunks apply each layer's rotation and fixed unitary in turn
 instead, which needs no per-circuit dense gate.  There an identity layer is
 skipped and a permutation layer is a gather (see ``circuits``), so the
 hardware-efficient families cost O(L D) per row and pass.  That loop,
-:func:`_rotation_pass`, takes the fixed layers as two functions, one per
-direction, and is the only per-layer loop besides the fused one.
+:func:`_layer_pass`, is the only per-layer loop besides the fused one.
 
 A random-Haar ensemble whose circuits are each evaluated once (the
-``instance`` kernels of ``qntk-stats``) plugs lazily drawn Haar layers into
-the same loop.  The adjoint method uses W_l on one vector in each direction,
+``instance`` kernels of ``qntk-stats``) draws its Haar layers lazily, with
+no layer loop.  The adjoint method uses W_l on one vector in each direction,
 a_l forward and the co-state y backward.  By the left and right invariance of
 the Haar measure, W_l a_l is a uniform vector of norm |a_l|, and given
 W_l a_l = x, W_l^dagger y = alpha a_l + |y_perp| v with y = alpha x + y_perp
 and v uniform on the unit sphere orthogonal to a_l.  Both are drawn from
-complex Gaussians in O(D), so a circuit costs O(L D) with no QR and no D x D
-layer.  Such a circuit exists only as the vectors it was applied to, so
+complex Gaussians in O(D), and both keep what the next layer needs in closed
+form, so a circuit costs O(L D) with no QR, no D x D layer and no sequential
+pass.  Such a circuit exists only as the vectors it was applied to, so
 every path that applies a circuit to more than one vector (training,
 ``angle`` resampling, the Hessian, the P training points of ``eigen-scan``)
 keeps the dense sampler, and so does ``haar.mc_kbar``, whose draws an
@@ -328,42 +328,11 @@ def _fused_pass(
 def _layer_pass(
     batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The engine one rotation and one fixed unitary at a time, for circuits too wide for dense gates."""
-    fixed, pulled = batch.fixed, batch.backward_layers()
-    outputs, grads, _ = _rotation_pass(
-        theta,
-        batch.perms,
-        batch.phases,
-        psi0,
-        obs_matrix,
-        points,
-        lambda k, states: _apply(fixed[k], states),
-        lambda k, mu: _apply_transpose(pulled[k], mu),
-    )
-    return outputs, grads
+    """The engine one rotation and one fixed unitary at a time, for circuits too wide for dense gates.
 
-
-def _rotation_pass(
-    theta: np.ndarray,
-    perms: np.ndarray,
-    phases: np.ndarray,
-    psi0: np.ndarray,
-    obs_matrix: np.ndarray,
-    points: int,
-    forward,
-    backward,
-):
-    """Forward and adjoint pass over the rotations, with the fixed layers supplied by the caller.
-
-    ``perms`` and ``phases`` are the generator tables (L, S or 1, D) of a
-    :class:`CircuitBatch`.  ``forward(k, rows)`` returns W_k applied to every
-    row; ``backward(k, mu)`` returns mu W_k for conjugate rows mu, that is the
-    conjugate of W_k^dagger y for the co-state y = conj(mu).  Returns the
-    outputs, the gradients (rows, L), and the final state psi_L, the observable
-    on it lam = O psi_L, and the pulled-back conjugate co-state mu_0.  The
-    only (L, rows, D) array it keeps is the state before each W; every other
-    factor is formed one layer at a time.
+    The only (L, rows, D) array it keeps is the state before each W.
     """
+    fixed, pulled = batch.fixed, batch.backward_layers()
     layers, size = theta.shape
     rows, dim = size * points, obs_matrix.shape[0]
     theta = np.repeat(theta, points, axis=1)
@@ -373,7 +342,7 @@ def _rotation_pass(
 
     def generator(k):
         """Gather indices on the flattened (rows, D) state array and phases of layer k's generator."""
-        perm, phase = perms[k], phases[k]
+        perm, phase = batch.perms[k], batch.phases[k]
         if points > 1 and len(perm) > 1:  # one table per circuit, each serving the circuit's P rows
             perm, phase = np.repeat(perm, points, axis=0), np.repeat(phase, points, axis=0)
         return perm + offsets, phase
@@ -388,48 +357,51 @@ def _rotation_pass(
         index, phase = generator(k)
         np.multiply(cos[k], psi, out=out)
         out += isin[k] * phase * psi.take(index)
-        psi = forward(k, out)
+        psi = _apply(fixed[k], out)
     lam = psi @ obs_matrix.T
     outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
     mu = lam.conj()
     grads = np.empty((rows, layers))
     for k in range(layers - 1, -1, -1):
         index, phase = generator(k)
-        mu = backward(k, mu)
+        mu = _apply_transpose(pulled[k], mu)
         gathered = mu.take(index)
         conj_phase = phase.conj()
         # d eps / d theta_k = 2 Im <tilted_k| X lam_k> = -2 Im sum(tilted_k * conj(X lam_k))
         grads[:, k] = -2.0 * np.sum(tilted[k] * conj_phase * gathered, axis=1).imag
         mu = cos[k] * mu + isin[k] * conj_phase * gathered
-    return outputs, grads, (psi, lam, mu)
+    return outputs, grads
 
 
-def _haar_image(a: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """x = W a for rows a and a fresh Haar W: |a| z/|z| with z = normals[:, 0] + i normals[:, 1].
+# Bytes per (circuit, layer, basis state) of a layer block of haar_instance_kernels at its peak
+LAZY_ENTRY_BYTES = 128
 
-    W a is uniform on the sphere of radius |a| for any fixed a, and so is
-    |a| z/|z| for a complex Gaussian z.
+
+def _haar_images(normals: np.ndarray, radius) -> np.ndarray:
+    """W a for fresh Haar W and any a of norm ``radius``: radius z/|z|, z the complex Gaussian of ``normals``."""
+    z = normals[..., 0, :] + 1j * normals[..., 1, :]
+    z *= (radius / np.linalg.norm(z, axis=-1))[..., None]
+    return z
+
+
+def _haar_pullbacks(a: np.ndarray, normals: np.ndarray, alpha, beta) -> np.ndarray:
+    """W^dagger y = alpha a + beta v for the Haar W with W a = x, where y = alpha x + y_perp and beta = |y_perp|.
+
+    Given W a = x, W maps the complement of a to that of x by a Haar unitary,
+    so W^dagger y_perp is uniform on the sphere of radius beta orthogonal to
+    a: v is the complex Gaussian of ``normals`` with its a part projected out.
     """
-    z = normals[:, 0] + 1j * normals[:, 1]
-    scale = np.linalg.norm(a, axis=1) / np.linalg.norm(z, axis=1)
-    return z * scale[:, None]
+    v = normals[..., 0, :] + 1j * normals[..., 1, :]
+    v -= (np.sum(a.conj() * v, axis=-1) / np.sum(np.abs(a) ** 2, axis=-1))[..., None] * a
+    v *= (beta / np.linalg.norm(v, axis=-1))[..., None]
+    v += alpha[..., None] * a
+    return v
 
 
-def _haar_pullback(a: np.ndarray, x: np.ndarray, y: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """W^dagger y for rows y, with W the Haar unitary of :func:`_haar_image` given W a = x.
-
-    Split y = alpha x + y_perp with y_perp orthogonal to x.  Then
-    W^dagger y = alpha a + |y_perp| v: given W a = x, W maps the complement of
-    a to that of x by a Haar unitary, so W^dagger y_perp is uniform on the
-    sphere of radius |y_perp| orthogonal to a.  v is a complex Gaussian from
-    ``normals`` with its a component projected out, normalised.
-    """
-    alpha = np.sum(x.conj() * y, axis=1) / np.sum(np.abs(x) ** 2, axis=1)
-    perp = y - alpha[:, None] * x
-    v = normals[:, 0] + 1j * normals[:, 1]
-    v -= (np.sum(a.conj() * v, axis=1) / np.sum(np.abs(a) ** 2, axis=1))[:, None] * a
-    scale = np.linalg.norm(perp, axis=1) / np.linalg.norm(v, axis=1)
-    return alpha[:, None] * a + scale[:, None] * v
+def _check_norms(got: np.ndarray, want: np.ndarray):
+    """The guard of lazily drawn layers: each vector keeps the norm a unitary would keep."""
+    if not np.all(np.abs(got - want) <= UNITARY_ATOL * np.maximum(1.0, want)):
+        raise ValueError(NOT_UNITARY)
 
 
 def haar_instance_kernels(
@@ -439,45 +411,61 @@ def haar_instance_kernels(
 
     Circuit s has the distribution of ``sample_random_circuits(n, layers,
     streams)`` at angles ``ensemble_angles(layers, streams)``, but no Haar
-    matrix is built: the adjoint method uses each W_l on one vector in each
-    direction, W_l a_l in the forward pass (:func:`_haar_image`) and
-    W_l^dagger y in the backward pass (:func:`_haar_pullback`), and both are
-    drawn exactly from the Haar measure conditioned on what is already known.
-    A circuit costs O(L D) and never exists as a whole, so it serves one
-    input state once: one kernel sample per circuit.
+    matrix is built.  The image x_k of layer k's rotated input
+    a_k = exp(i theta_k X_k) x_{k-1} is |psi0| z_k/|z_k| whatever a_k is, and
+    the co-state y_k = alpha x_k + y_perp keeps alpha = <psi_L|O|psi_L> and
+    beta = |O psi_L - alpha psi_L| at every layer, so W_k^dagger y_k =
+    alpha a_k + beta v_k and g_k = 2 Im <a_k| X_k |W_k^dagger y_k> for all k
+    at once, over blocks of layers whose temporaries fit ``STACK_BYTES``.
 
-    Stream s draws, in this order, the L generator codes in one call, the
-    forward normals (L, 2, D) in one fill and the backward normals (L, 2, D)
-    in one fill; the angles come from ``streams[s].substream(0)``.  With no
-    matrix to check, the guard is on norms: the final state must keep the
-    norm of ``psi0`` and the pulled-back co-state that of O psi_L.
+    Stream s draws the L generator codes in one call, then the forward and
+    the backward normals (2, L, 2, D) in one fill; the angles come from
+    ``streams[s].substream(0)``.  With no matrix to check, the guard is on
+    norms: every image keeps the norm of its input, every pulled-back
+    co-state that of O psi_L.
     """
     if n < 1 or layers < 0:
         raise ValueError("need n >= 1 and layers >= 0")
     dim, size = 1 << n, len(streams)
     psi0 = _check_inputs(dim, 1, np.reshape(psi0, (1, -1)), obs_matrix)[0]
     codes = np.empty((size, layers), dtype=np.int64)
-    draws = np.empty((2, size, layers, 2, dim))
+    normals = np.empty((size, 2, layers, 2, dim))
     for s, rng in enumerate(streams):
         codes[s] = rng.generator.integers(1 if exclude_identity else 0, 4**n, size=layers)
-        rng.generator.standard_normal(out=draws[0, s])
-        rng.generator.standard_normal(out=draws[1, s])
-    perms, phases = code_tables(n, codes)
-    inputs, images = [None] * layers, [None] * layers
-
-    def forward(k, a):
-        inputs[k], images[k] = a, _haar_image(a, draws[0, :, k])
-        return images[k]
-
-    def backward(k, mu):
-        return _haar_pullback(inputs[k], images[k], mu.conj(), draws[1, :, k]).conj()
-
-    theta = ensemble_angles(layers, streams)
-    _, grads, (psi, lam, mu) = _rotation_pass(theta, perms, phases, psi0, obs_matrix, 1, forward, backward)
-    for start, end in ((psi0, psi), (lam, mu)):
-        want, got = np.linalg.norm(start, axis=-1), np.linalg.norm(end, axis=1)
-        if not np.all(np.abs(got - want) <= UNITARY_ATOL * np.maximum(1.0, want)):
-            raise ValueError(NOT_UNITARY)
+        rng.generator.standard_normal(out=normals[s])
+    theta = ensemble_angles(layers, streams).T
+    cos, isin = np.cos(theta)[..., None], 1j * np.sin(theta)[..., None]
+    radius = np.linalg.norm(psi0)
+    psi = _haar_images(normals[:, 0, -1], radius) if layers else np.broadcast_to(psi0, (size, dim))
+    lam = psi @ obs_matrix.T
+    alpha = _real_rows(np.sum(psi.conj() * lam, axis=1)) / radius**2
+    beta = np.linalg.norm(lam - alpha[:, None] * psi, axis=1)
+    grads = np.empty((size, layers))
+    step = max(1, STACK_BYTES // (size * dim * LAZY_ENTRY_BYTES))
+    for lo in range(0, layers, step):
+        hi = min(lo + step, layers)
+        # the inputs x_lo .. x_{hi-1} of the block's layers and their images x_{lo+1} .. x_hi
+        images = _haar_images(normals[:, 0, max(lo - 1, 0) : hi], radius)
+        if lo == 0:
+            inputs = np.concatenate([np.broadcast_to(psi0, (size, 1, dim)), images[:, :-1]], axis=1)
+        else:
+            inputs, images = images[:, :-1], images[:, 1:]
+        perms, phases = code_tables(n, codes[:, lo:hi])
+        flipped = np.take_along_axis(inputs, perms.transpose(1, 0, 2), axis=-1)
+        flipped *= phases.transpose(1, 0, 2)
+        del perms, phases
+        # a_k = cos x + i sin X x, and X a_k = cos X x + i sin x because X^2 = I
+        rotated = cos[:, lo:hi] * inputs
+        rotated += isin[:, lo:hi] * flipped
+        flipped *= cos[:, lo:hi]
+        flipped += isin[:, lo:hi] * inputs
+        _check_norms(np.linalg.norm(images, axis=-1), np.linalg.norm(rotated, axis=-1))
+        del inputs, images
+        pulled = _haar_pullbacks(rotated, normals[:, 1, lo:hi], alpha[:, None], beta[:, None])
+        _check_norms(np.linalg.norm(pulled, axis=-1), np.linalg.norm(lam, axis=1)[:, None])
+        # g_k = 2 Im <a_k| X_k |W_k^dagger y_k> = 2 Im <X_k a_k | W_k^dagger y_k>
+        pulled *= flipped.conj()
+        grads[:, lo:hi] = 2.0 * np.sum(pulled, axis=-1).imag
     return np.array([qntk(g) for g in grads])
 
 

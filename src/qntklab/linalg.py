@@ -158,6 +158,11 @@ def code_letters(n: int, code: int) -> str:
     return "".join(reversed(letters))
 
 
+def letters_code(letters: str) -> int:
+    """Base-4 code of a Pauli string's letters, the inverse of :func:`code_letters`."""
+    return int("".join(str(PAULI_LETTERS.index(x)) for x in letters), 4)
+
+
 def sample_pauli(n: int, rng: RngStream, exclude_identity: bool = True) -> PauliString:
     """Uniform unsigned Pauli string on n qubits.
 

@@ -51,8 +51,9 @@ def kbar_exact(
 ) -> float:
     """Exact ensemble-average kernel for 2-design circuits.
 
-    ``sum_tr_x2`` is the summed squared-generator trace; involutory Pauli
-    generators give layers * dim, which is the default.
+    ``sum_tr_x2`` is the generators' summed Tr X^2 - (Tr X)^2 / D, or its mean
+    over a random generator ensemble: layers * dim for traceless Pauli
+    generators, the default, and 0 for an identity generator.
     """
     _check_dim(dim)
     if sum_tr_x2 is None:
@@ -66,12 +67,12 @@ def kbar_leading(dim: int, layers: int, tr_o2: float) -> float:
     return layers * tr_o2 / dim**2
 
 
-def gamma(dim: int, layers: int, tr_o2: float, tr_o: float, eta: float) -> DecayRate:
-    """Per-step exponential decay-rate prediction, leading and exact."""
+def gamma(dim: int, layers: int, tr_o2: float, tr_o: float, eta: float, sum_tr_x2: float | None = None) -> DecayRate:
+    """Per-step exponential decay-rate prediction, leading and exact (``sum_tr_x2`` as in :func:`kbar_exact`)."""
     _check_dim(dim)
     return DecayRate(
         leading=eta * kbar_leading(dim, layers, tr_o2),
-        exact=eta * kbar_exact(dim, layers, tr_o2, tr_o),
+        exact=eta * kbar_exact(dim, layers, tr_o2, tr_o, sum_tr_x2),
     )
 
 
@@ -137,7 +138,7 @@ def supervised_kbar(
 
 
 def kernel_eigenvalues(
-    dim: int, layers: int, train_size: int, tr_o2: float, tr_o: float = 0.0
+    dim: int, layers: int, train_size: int, tr_o2: float, tr_o: float = 0.0, sum_tr_x2: float | None = None
 ) -> KernelSpectrum:
     """Spectrum of the average supervised kernel with orthogonal features.
 
@@ -145,6 +146,7 @@ def kernel_eigenvalues(
     training-set size, plus one low eigenvalue that shrinks linearly with the
     set size and hits zero when the set fills the Hilbert space.  Requires
     train_size <= D (orthogonal features are impossible otherwise).
+    ``sum_tr_x2`` is as in :func:`kbar_exact`.
     """
     _check_dim(dim)
     if train_size < 1:
@@ -154,7 +156,8 @@ def kernel_eigenvalues(
             f"train_size {train_size} exceeds dimension {dim}; "
             "orthogonal features are impossible and the formula is invalid"
         )
-    scale = 2.0 * layers * (dim * tr_o2 - tr_o**2) / (dim**2 - 1) ** 2
+    weight = layers if sum_tr_x2 is None else sum_tr_x2 / dim
+    scale = 2.0 * weight * (dim * tr_o2 - tr_o**2) / (dim**2 - 1) ** 2
     return KernelSpectrum(
         bulk=float(dim * scale),
         bulk_multiplicity=train_size - 1,

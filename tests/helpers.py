@@ -10,13 +10,18 @@ route" every exact formula is checked against.  They read a circuit's
 generators from its codes as letters (:func:`circuit_layers`), never from the
 engine's permutation and phase tables, make every fixed layer dense first
 (:func:`dense_fixed`), and build the dense CNOT chain that the library's
-permutation layer replaces bit by bit (:func:`cnot_chain`).
+permutation layer replaces bit by bit (:func:`cnot_chain`).  The lazy Haar
+sampler's closed form is checked against its sequential form
+(:func:`lazy_haar_sequential`), which draws each layer's two vectors one
+layer at a time, forward and then backward (:func:`haar_image`,
+:func:`haar_pullback`).
 """
 
 import numpy as np
 
 from qntklab import residual_error
-from qntklab.linalg import PauliString, code_letters, pauli_matrix
+from qntklab.circuits import uniform_angles
+from qntklab.linalg import PauliString, code_letters, pauli_matrix, zero_state
 
 
 def dense_fixed(w, dim: int) -> np.ndarray:
@@ -238,3 +243,60 @@ def gradient_close(analytic, reference, rel=1e-6, abs_floor=1e-9, small=1e-6):
         elif abs(a - r) / abs(r) > rel:
             return False
     return True
+
+
+def haar_image(a: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """x = W a for rows a and a fresh Haar W: |a| z/|z| with z = normals[:, 0] + i normals[:, 1].
+
+    W a is uniform on the sphere of radius |a| for any fixed a, and so is
+    |a| z/|z| for a complex Gaussian z.
+    """
+    z = normals[:, 0] + 1j * normals[:, 1]
+    scale = np.linalg.norm(a, axis=1) / np.linalg.norm(z, axis=1)
+    return z * scale[:, None]
+
+
+def haar_pullback(a: np.ndarray, x: np.ndarray, y: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """W^dagger y for rows y, with W the Haar unitary of :func:`haar_image` given W a = x.
+
+    Split y = alpha x + y_perp with y_perp orthogonal to x.  Then
+    W^dagger y = alpha a + |y_perp| v: given W a = x, W maps the complement of
+    a to that of x by a Haar unitary, so W^dagger y_perp is uniform on the
+    sphere of radius |y_perp| orthogonal to a.  v is a complex Gaussian from
+    ``normals`` with its a component projected out, normalised.
+    """
+    alpha = np.sum(x.conj() * y, axis=1) / np.sum(np.abs(x) ** 2, axis=1)
+    perp = y - alpha[:, None] * x
+    v = normals[:, 0] + 1j * normals[:, 1]
+    v -= (np.sum(a.conj() * v, axis=1) / np.sum(np.abs(a) ** 2, axis=1))[:, None] * a
+    scale = np.linalg.norm(perp, axis=1) / np.linalg.norm(v, axis=1)
+    return alpha[:, None] * a + scale[:, None] * v
+
+
+def lazy_haar_sequential(n: int, layers: int, stream, obs_matrix: np.ndarray, exclude_identity: bool = True):
+    """One lazily drawn random-Haar circuit from its stream, one layer at a time, with dense rotations.
+
+    The stream is read as the library documents it: L generator codes, the
+    forward normals (L, 2, D) and then the backward ones (L, 2, D), in two
+    fills, and the angles from substream 0.  Returns the gradient (L,), the
+    images x_k = W_k a_k of the forward pass and the co-states y_k that the
+    backward pass pulls back through each W_k, both (L, D).
+    """
+    dim = 1 << n
+    codes = stream.generator.integers(1 if exclude_identity else 0, 4**n, size=layers)
+    forward = stream.generator.standard_normal((layers, 2, dim))
+    backward = stream.generator.standard_normal((layers, 2, dim))
+    theta = uniform_angles(layers, stream.substream(0))
+    gens = [pauli_matrix(code_letters(n, int(c))) for c in codes]
+    psi, inputs, images = zero_state(n), [], []
+    for gen, t, normals in zip(gens, theta, forward):
+        inputs.append(np.cos(t) * psi + 1j * np.sin(t) * gen @ psi)
+        images.append(haar_image(inputs[-1][None], normals[None])[0])
+        psi = images[-1]
+    y, grads, costates = obs_matrix @ psi, np.empty(layers), np.empty((layers, dim), dtype=complex)
+    for k in range(layers - 1, -1, -1):
+        costates[k] = y
+        pulled = haar_pullback(inputs[k][None], images[k][None], y[None], backward[k][None])[0]
+        grads[k] = -2.0 * np.vdot(pulled, gens[k] @ inputs[k]).imag
+        y = np.cos(theta[k]) * pulled - 1j * np.sin(theta[k]) * gens[k] @ pulled
+    return grads, np.array(images).reshape(layers, dim), costates

@@ -25,6 +25,7 @@ from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk,
 from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _eigen_chunk, _engine_entry_bytes, _qntk_chunk
 from qntklab.kernels import supervised_kernels
 from qntklab.linalg import RngStream
+from qntklab.theory import delta_k, kbar_exact, kernel_eigenvalues
 from qntklab.training import gd_batch, squared_loss
 from qntklab.cli import main as cli_main
 from qntklab.haar import MomentEstimate
@@ -726,3 +727,64 @@ def test_validate_config_returns_or_names_the_key(kind, data):
         validate_config(raw)
     except ConfigError as exc:
         assert re.match(r"config key '[^']+'", str(exc)), str(exc)
+
+
+def _summary(out_dir: Path) -> dict:
+    lines = (out_dir / "summary.csv").read_text().splitlines()[1:]
+    header = lines[0].split(",")
+    return {name: [float(row.split(",")[i]) for row in lines[1:]] for i, name in enumerate(header)}
+
+
+_HEA_OBSERVABLE = {"kind": "pauli-sum", "terms": [[1.0, "ZZI"], [0.5, "XIX"]]}  # Tr O = 0, Tr O^2 = 10
+
+
+@pytest.mark.parametrize(
+    "ansatz, rotations",
+    [("hardware-efficient-cnot", 18), ("hardware-efficient-cphase", 10)],
+    ids=["cnot", "cphase"],
+)
+def test_hardware_efficient_theory_columns_count_rotation_layers(tmp_path, ansatz, rotations):
+    # depth 2 at n = 3 holds 2 * 3n = 18 rotations for cnot and 2 * (2n - 1) = 10
+    # for cphase; the 2-design values at D = 8 are then 2 L 8 * 80 / (72 * 63)
+    # and L * 10 / 64
+    cfg = validate_config(qntk_cfg(qubits=3, layers=[2], samples=2, ansatz=ansatz, observable=_HEA_OBSERVABLE))
+    assert run_experiment(cfg, tmp_path) == EXIT_OK
+    summary = _summary(tmp_path)
+    assert summary["layers"] == [2.0]
+    assert summary["kbar_exact"][0] == pytest.approx({18: 320 / 63, 10: 1600 / 567}[rotations], rel=1e-12)
+    assert summary["kbar_leading"][0] == pytest.approx(rotations * 10 / 64, rel=1e-12)
+    assert summary["delta_k_pred"][0] == pytest.approx(delta_k(8, rotations, 10.0, realize_observable(cfg).trace_power(4)), rel=1e-12)
+
+
+def test_hardware_efficient_gamma_counts_rotation_layers(tmp_path):
+    # depth 3 at n = 2 holds 3 * (2n - 1) = 9 rotations; with O = ZZ at D = 4,
+    # kbar_exact = 2 * 9 * 4 * 16 / (20 * 15) = 3.84 and kbar_leading = 9 * 4 / 16
+    cfg = validate_config(
+        train_cfg(layers=3, steps=3, trials=1, ansatz="hardware-efficient-cphase", observable=_ZZ)
+    )
+    assert run_experiment(cfg, tmp_path) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["gamma_theory_exact"] == pytest.approx(1e-3 * 3.84, rel=1e-12)
+    assert report["gamma_theory_leading"] == pytest.approx(1e-3 * 9 * 4 / 16, rel=1e-12)
+
+
+def test_identity_generators_scale_every_exact_prediction(tmp_path):
+    # with exclude_identity false a generator is the identity, whose gradient
+    # is 0, with probability 4^-n: kbar_exact, gamma and the eigen-scan
+    # spectrum all take the factor 1 - 4^-n = 15/16 at n = 2
+    base = {"observable": _ZZ, "exclude_identity": False}
+    outs = {}
+    for name, cfg in (
+        ("qntk", qntk_cfg(layers=[4], samples=2, **base)),
+        ("train", train_cfg(steps=3, trials=1, **base)),
+        ("scan", scan_cfg(qubits=2, layers=4, trials=1, train_sizes=[2], **base)),
+    ):
+        outs[name] = tmp_path / name
+        assert run_experiment(validate_config(cfg), outs[name]) == EXIT_OK
+    assert _summary(outs["qntk"])["kbar_exact"] == [15 / 16 * kbar_exact(4, 4, 4.0, 0.0)]
+    report = json.loads((outs["train"] / "report.json").read_text())
+    assert report["gamma_theory_exact"] == 1e-3 * 15 / 16 * kbar_exact(4, 8, 4.0, 0.0)
+    spectrum = kernel_eigenvalues(4, 4, 2, 4.0, 0.0)
+    scan = _summary(outs["scan"])
+    assert scan["bulk_theory"] == [pytest.approx(15 / 16 * spectrum.bulk, rel=1e-15)]
+    assert scan["lowest_theory"] == [pytest.approx(15 / 16 * spectrum.lowest, rel=1e-15)]

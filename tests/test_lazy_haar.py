@@ -2,21 +2,27 @@
 
 No existing test or acceptance criterion runs on the lazy sampler; these
 tests check it on its own terms: per draw (the two vectors it samples are
-consistent with one unitary), in its Haar moments, and in distribution
-against ``sample_random_circuits`` + ``ensemble_kernels``.  The bands were
-fixed before the first run.
+consistent with one unitary), in its Haar moments, in distribution against
+``sample_random_circuits`` + ``ensemble_kernels``, and kernel by kernel
+against its sequential form (``helpers.lazy_haar_sequential``), together with
+the two conserved overlaps its closed form rests on.  The bands were fixed
+before the first run.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from qntklab import kernels
-from qntklab.circuits import chunk_grid, sample_random_circuits, uniform_angles
+from qntklab.circuits import chunk_grid, sample_random_circuits
 from qntklab.experiments import _LANE_TRIALS, run_experiment, validate_config
 from qntklab.haar import MomentEstimate
-from qntklab.kernels import Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum
-from qntklab.linalg import PauliString, RngStream, code_letters, pauli_matrix, zero_state
+from qntklab.kernels import Observable, ensemble_kernels, haar_instance_kernels, qntk, random_pauli_sum
+from qntklab.linalg import PauliString, RngStream, code_letters, zero_state
 from qntklab.theory import kbar_exact
+
+from helpers import lazy_haar_sequential
 
 # distribution bands: mean and variance differences within this many of their
 # standard errors, quantiles within this many binomial standard errors
@@ -81,13 +87,21 @@ def test_one_layer_lazy_mean_is_the_exact_closed_form(n):
     assert MomentEstimate.from_samples(values, target).consistent
 
 
+def _draw(a, y, rng):
+    """x = W a and W^dagger y for one lazily drawn W, by the library's two steps; y = alpha x + y_perp."""
+    rows, dim = a.shape
+    x = kernels._haar_images(rng.standard_normal((rows, 2, dim)), np.linalg.norm(a, axis=1))
+    alpha = np.sum(x.conj() * y, axis=1) / np.sum(np.abs(x) ** 2, axis=1)
+    beta = np.linalg.norm(y - alpha[:, None] * x, axis=1)
+    return x, kernels._haar_pullbacks(a, rng.standard_normal((rows, 2, dim)), alpha, beta)
+
+
 def test_each_draw_is_consistent_with_one_unitary():
     rng = np.random.default_rng(520)
     rows, dim = 64, 8
     a = _unit_rows(rng, rows, dim)
     y = 3.0 * _unit_rows(rng, rows, dim) + 0.5 * a
-    x = kernels._haar_image(a, rng.standard_normal((rows, 2, dim)))
-    pulled = kernels._haar_pullback(a, x, y, rng.standard_normal((rows, 2, dim)))
+    x, pulled = _draw(a, y, rng)
     # W a = x and W^dagger y for one unitary W: norms and the overlap are kept
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(pulled, axis=1), np.linalg.norm(y, axis=1), rtol=0, atol=1e-12)
@@ -106,8 +120,7 @@ def test_lazy_draws_have_the_haar_moments():
     draws, dim = 20000, 4
     a = np.tile(_unit_rows(rng, 1, dim), (draws, 1))
     y = np.tile(2.0 * _unit_rows(rng, 1, dim), (draws, 1))
-    x = kernels._haar_image(a, rng.standard_normal((draws, 2, dim)))
-    pulled = kernels._haar_pullback(a, x, y, rng.standard_normal((draws, 2, dim)))
+    x, pulled = _draw(a, y, rng)
     for j in range(dim):
         for values, target in (
             (np.abs(x[:, j]) ** 2, 1.0 / dim),
@@ -130,34 +143,61 @@ def test_a_kernel_depends_only_on_its_own_stream():
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
 
 
-def _one_lazy_kernel(n, layers, stream, obs_matrix):
-    """The kernel of one circuit from its stream, one layer at a time with dense rotations."""
-    dim = 1 << n
-    codes = stream.generator.integers(1, 4**n, size=layers)
-    forward = stream.generator.standard_normal((layers, 2, dim))
-    backward = stream.generator.standard_normal((layers, 2, dim))
-    theta = uniform_angles(layers, stream.substream(0))
-    gens = [pauli_matrix(code_letters(n, int(c))) for c in codes]
-    psi, inputs, images = zero_state(n), [], []
-    for gen, t, normals in zip(gens, theta, forward):
-        inputs.append(np.cos(t) * psi + 1j * np.sin(t) * gen @ psi)
-        images.append(kernels._haar_image(inputs[-1][None], normals[None])[0])
-        psi = images[-1]
-    y, grads = obs_matrix @ psi, []
-    for k in range(layers - 1, -1, -1):
-        pulled = kernels._haar_pullback(inputs[k][None], images[k][None], y[None], backward[k][None])[0]
-        grads.append(-2.0 * np.vdot(pulled, gens[k] @ inputs[k]).imag)
-        y = np.cos(theta[k]) * pulled - 1j * np.sin(theta[k]) * gens[k] @ pulled
-    return float(np.dot(grads, grads))
-
-
-def test_each_kernel_follows_its_documented_stream_layout():
+@pytest.mark.parametrize("block", [None, 1, 4], ids=["default-blocks", "one-layer-blocks", "four-layer-blocks"])
+@pytest.mark.parametrize("exclude_identity", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("layers", [0, 1, 5, 17])
+def test_each_kernel_follows_its_documented_stream_layout(n, layers, exclude_identity, block, monkeypatch):
     # per stream: L generator codes, forward normals (L, 2, D), backward
-    # normals (L, 2, D), then the angles from substream 0
-    obs = random_pauli_sum(3, 10, RngStream(545))
-    values = haar_instance_kernels(3, 5, [RngStream(546, (k,)) for k in range(4)], obs.matrix, zero_state(3))
-    expected = [_one_lazy_kernel(3, 5, RngStream(546, (k,)), obs.matrix) for k in range(4)]
-    np.testing.assert_allclose(values, expected, rtol=1e-10, atol=0)
+    # normals (L, 2, D), then the angles from substream 0; ``block`` forces
+    # layer blocks of that many layers on the six circuits (None: the default
+    # budget, one block but at n = 5 and L = 17)
+    if block is not None:
+        monkeypatch.setattr(kernels, "STACK_BYTES", block * 6 * (1 << n) * kernels.LAZY_ENTRY_BYTES)
+    _check_against_the_sequential_form(n, layers, exclude_identity)
+
+
+def _exactly_zero(n, codes) -> bool:
+    """Whether a kernel is zero in exact arithmetic: every generator is the identity,
+    except that layer 1's may be diagonal (only I and Z), since it acts on |0>."""
+    return len(codes) > 0 and not np.any(codes[1:]) and code_letters(n, int(codes[0])).strip("IZ") == ""
+
+
+def _check_against_the_sequential_form(n, layers, exclude_identity):
+    """Six kernels against the sequential oracle to rtol 1e-10, from streams RngStream(546, (k,)).
+
+    A kernel that is zero in exact arithmetic comes out near 1e-32 on either
+    side, so it is compared on the ensemble's scale, the mean kernel, instead.
+    """
+    obs = random_pauli_sum(n, 10, RngStream(545))
+    streams = [RngStream(546, (k,)) for k in range(6)]
+    values = haar_instance_kernels(n, layers, streams, obs.matrix, zero_state(n), exclude_identity)
+    expected = np.array(
+        [qntk(lazy_haar_sequential(n, layers, s.reset(), obs.matrix, exclude_identity)[0]) for s in streams]
+    )
+    low = 1 if exclude_identity else 0
+    zero = np.array([_exactly_zero(n, s.reset().generator.integers(low, 4**n, size=layers)) for s in streams])
+    np.testing.assert_allclose(values[~zero], expected[~zero], rtol=1e-10, atol=0)
+    if zero.any():
+        scale = kbar_exact(1 << n, layers, obs.trace_power(2), obs.trace_power(1))
+        assert np.all(np.abs(values[zero]) <= 1e-10 * scale)
+        assert np.all(np.abs(expected[zero]) <= 1e-10 * scale)
+
+
+def test_the_co_state_keeps_its_overlap_and_orthogonal_norm_at_every_layer():
+    # the closed form rests on this: y_k = alpha x_k + y_perp with
+    # alpha = <psi_L|O|psi_L> and |y_perp| = |O psi_L - alpha psi_L| for all k
+    for n, layers in ((1, 9), (2, 17), (3, 6)):
+        obs = random_pauli_sum(n, 10, RngStream(547 + n))
+        for k in range(5):
+            _, images, costates = lazy_haar_sequential(n, layers, RngStream(548, (n, k)), obs.matrix)
+            psi, lam = images[-1], obs.matrix @ images[-1]
+            eps = np.vdot(psi, lam)
+            beta = np.linalg.norm(lam - eps * psi)
+            np.testing.assert_allclose(np.sum(images.conj() * costates, axis=1), eps, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                np.linalg.norm(costates - eps * images, axis=1), beta, rtol=0, atol=1e-12
+            )
 
 
 def test_zero_layers_give_exactly_zero():
@@ -166,14 +206,16 @@ def test_zero_layers_give_exactly_zero():
     assert values.tolist() == [0.0] * 5
 
 
-@pytest.mark.parametrize("step", ["_haar_image", "_haar_pullback"])
-def test_norm_guard_rejects_a_draw_that_is_not_unitary(step, monkeypatch):
-    # the forward guard sees the final state, the backward one the pulled-back co-state
+@pytest.mark.parametrize("step, scale", [("_haar_images", 0.0), ("_haar_pullbacks", 1.0)])
+def test_norm_guard_rejects_a_draw_that_is_not_unitary(step, scale, monkeypatch):
+    # the forward guard sees every image, the backward one every pulled-back
+    # co-state; the image case runs with O = 0, whose co-state is 0, so that
+    # only the forward guard can see it
     original = getattr(kernels, step)
     monkeypatch.setattr(kernels, step, lambda *args: (1.0 + 1e-8) * original(*args))
-    obs = random_pauli_sum(2, 10, RngStream(560))
+    obs_matrix = scale * random_pauli_sum(2, 10, RngStream(560)).matrix
     with pytest.raises(ValueError, match="not unitary"):
-        haar_instance_kernels(2, 4, [RngStream(561, (k,)) for k in range(3)], obs.matrix, zero_state(2))
+        haar_instance_kernels(2, 4, [RngStream(561, (k,)) for k in range(3)], obs_matrix, zero_state(2))
 
 
 def test_qntk_stats_instance_ensemble_runs_on_the_lazy_sampler(tmp_path):
@@ -187,3 +229,21 @@ def test_qntk_stats_instance_ensemble_runs_on_the_lazy_sampler(tmp_path):
     streams = [RngStream(570, (_LANE_TRIALS, 0, k)) for k in range(20)]
     obs = Observable(((1.0, PauliString("ZZ")),))
     assert written == haar_instance_kernels(2, 4, streams, obs.matrix, zero_state(2)).tolist()
+
+
+@pytest.mark.parametrize("exclude_identity", [False, True])
+def test_mean_kernel_matches_its_column_with_and_without_identity_generators(tmp_path, exclude_identity):
+    # n = 2, L = 16, 20 000 lazy samples: with identity generators allowed the
+    # mean is (1 - 4^-n) kbar_exact, and the summary's kbar_exact says so
+    cfg = validate_config(
+        {"kind": "qntk-stats", "qubits": 2, "layers": [16], "samples": 20000, "seed": 3,
+         "exclude_identity": exclude_identity, "observable": {"kind": "random-pauli-sum"}}
+    )
+    assert run_experiment(cfg, tmp_path) == 0
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
+    row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
+    obs = Observable(tuple((c, PauliString(s)) for c, s in json.loads((tmp_path / "observable.json").read_text())["terms"]))
+    factor = 1.0 if exclude_identity else 15 / 16
+    assert row["kbar_exact"] == factor * kbar_exact(4, 16, obs.trace_power(2), obs.trace_power(1))
+    z = (row["kernel_mean"] - row["kbar_exact"]) / (row["kernel_std"] / np.sqrt(20000))
+    assert abs(z) <= BAND_SE
