@@ -42,6 +42,7 @@ from .linalg import (
     letters_code,
     matrices_per_block,
     pauli_code,
+    substreams,
     zero_state,
 )
 
@@ -372,7 +373,7 @@ def uniform_angles(layers: int, rng: RngStream) -> np.ndarray:
 
 def ensemble_angles(layers: int, streams) -> np.ndarray:
     """Angles (L, S) of an ensemble chunk: circuit s draws from ``streams[s].substream(0)``."""
-    return np.stack([uniform_angles(layers, s.substream(0)) for s in streams], axis=1)
+    return np.stack([uniform_angles(layers, s) for s in substreams(streams, 0)], axis=1)
 
 
 __all__ = [

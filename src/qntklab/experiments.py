@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .circuits import (
 from .haar import mc_commutator_trace, mc_second_moment
 from .kernels import LAZY_ENTRY_BYTES, Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum
 from .kernels import supervised_kernels
-from .linalg import STACK_BYTES, PauliString, RngStream, kahan_sum, pauli_matrix, zero_state
+from .linalg import STACK_BYTES, PauliString, RngStream, kahan_sum, pauli_matrix, stream_block, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
 from .training import fit_decay_rate, gd_batch, squared_loss
 
@@ -91,12 +90,15 @@ _ALLOWED_KEYS = {
 }
 
 # Largest arrays a config may call for, counted before anything is
-# allocated: the D x D observable, the dense fixed layers of one circuit (L
-# Haar matrices for a random-Haar circuit on the dense sampler, none for
-# lazily drawn Haar layers or for the hardware-efficient families, whose
-# fixed layers are identities and one permutation), and the arrays the
-# engine keeps for one circuit (:func:`_engine_entry_bytes`).
+# allocated: the D x D observable, the dense matrices of one circuit
+# (:func:`_dense_matrices`), and the arrays the engine keeps for one circuit
+# (:func:`_engine_entry_bytes`).
 DENSE_BYTES_LIMIT = 2 << 30
+
+# Matrices the dense Haar sampler holds besides the layers it has drawn: one
+# matrix's Ginibre parts, the QR's working copy, Q and R (at D >= 128 it draws
+# one matrix at a time; the unitarity check of the stack holds fewer).
+_SAMPLER_MATRICES = 4
 
 _DEFAULTS = {
     "threads": 1,
@@ -153,22 +155,23 @@ def _as_number(key: str, value, positive: bool = False, minimum: float | None = 
     return value
 
 
-def _check_dense_bytes(key: str, qubits: int, dense_layers: int = 0, entry_bytes: int = 0):
+def _check_dense_bytes(key: str, qubits: int, dense_matrices: int = 0, entry_bytes: int = 0):
     """Refuse a config whose arrays would exceed DENSE_BYTES_LIMIT.
 
-    Counts the observable and ``dense_layers`` dense (D, D) matrices, plus
-    ``entry_bytes`` per basis state.  Past a few hundred qubits the estimate
-    is infinite in the message anyway, so the width is capped there to keep
-    the integer shifts small.
+    Counts the observable and ``dense_matrices`` more dense (D, D) matrices,
+    plus ``entry_bytes`` per basis state.  Past a few hundred qubits the
+    estimate is infinite in the message anyway, so the width is capped there
+    to keep the integer shifts small.
     """
     width = min(qubits, 512)
-    estimate = (1 + dense_layers) * (16 << (2 * width)) + (entry_bytes << width)
+    estimate = (1 + dense_matrices) * (16 << (2 * width)) + (entry_bytes << width)
     if estimate > DENSE_BYTES_LIMIT:
         # Python ints of any size; only the message needs a float
         gib = estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
         _fail(
             key,
-            f"needs about {gib:.1f} GiB (the observable, {dense_layers} dense fixed layers and "
+            f"needs about {gib:.1f} GiB (the observable, {dense_matrices} dense matrices of fixed layers "
+            "and sampling, and "
             f"the engine's arrays of one circuit at {qubits} qubits); "
             f"the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
         )
@@ -310,10 +313,21 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
-    dense = out.get("ansatz", "random-haar") == "random-haar" and not _lazy_haar(out)
-    dense_layers = _rotation_layers(out) if dense else 0
-    _check_dense_bytes("qubits/layers", out["qubits"], dense_layers, _engine_entry_bytes(out))
+    _check_dense_bytes("qubits/layers", out["qubits"], _dense_matrices(out), _engine_entry_bytes(out))
     return out
+
+
+def _dense_matrices(cfg: dict) -> int:
+    """Dense (D, D) matrices one circuit of a validated config needs, the observable aside.
+
+    A random-Haar circuit on the dense sampler holds its L Haar layers and
+    the sampler's temporaries; lazily drawn Haar layers need none, and the
+    hardware-efficient families' fixed layers are identities and one
+    permutation.
+    """
+    if cfg.get("ansatz", "random-haar") != "random-haar" or _lazy_haar(cfg):
+        return 0
+    return _rotation_layers(cfg) + _SAMPLER_MATRICES
 
 
 def _rotation_layers(cfg: dict, depth: int | None = None) -> int:
@@ -445,6 +459,9 @@ def _map_chunks(worker, payload: dict, grid: list[tuple[int, int]], threads: int
     """
     if threads <= 1 or len(grid) <= 1:
         return _run_chunks(worker, payload, grid)
+    # imported here, so a single-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     per = -(-len(grid) // threads)
     runs = [grid[i : i + per] for i in range(0, len(grid), per)]
     results = []
@@ -491,7 +508,7 @@ def _lazy_haar(cfg: dict) -> bool:
 def _qntk_chunk(payload: dict, lo: int, hi: int) -> list[float]:
     cfg = payload["cfg"]
     n, li, layers = cfg["qubits"], payload["layer_index"], payload["layers"]
-    streams = [RngStream(cfg["seed"], (_LANE_TRIALS, li, k)) for k in range(lo, hi)]
+    streams = stream_block(cfg["seed"], [(_LANE_TRIALS, li, k) for k in range(lo, hi)])
     obs_matrix = payload["observable"].matrix
     if _lazy_haar(cfg):
         return list(haar_instance_kernels(n, layers, streams, obs_matrix, zero_state(n), cfg["exclude_identity"]))
@@ -578,7 +595,7 @@ def _descent_chunk(payload: dict, lo: int, hi: int) -> list[dict]:
     ``features``), all trained toward the payload's ``target``.
     """
     cfg = payload["cfg"]
-    streams = [RngStream(cfg["seed"], (_LANE_TRIALS, k)) for k in range(lo, hi)]
+    streams = stream_block(cfg["seed"], [(_LANE_TRIALS, k) for k in range(lo, hi)])
     shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,))
     batch = _circuit_batch(cfg, cfg["layers"], streams, shared)
     theta0 = ensemble_angles(batch.num_layers, streams).T
@@ -719,7 +736,7 @@ def _eigen_chunk(payload: dict, lo: int, hi: int) -> list[tuple[float, np.ndarra
     """
     cfg = payload["cfg"]
     n, layers, size = cfg["qubits"], cfg["layers"], payload["train_size"]
-    streams = [RngStream(cfg["seed"], (_LANE_TRIALS, payload["size_index"], k)) for k in range(lo, hi)]
+    streams = stream_block(cfg["seed"], [(_LANE_TRIALS, payload["size_index"], k) for k in range(lo, hi)])
     batch = sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
     features = np.eye(1 << n, dtype=complex)[:size]
     kernels = supervised_kernels(batch, ensemble_angles(layers, streams), features, payload["observable"].matrix)

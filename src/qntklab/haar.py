@@ -14,7 +14,8 @@ import numpy as np
 
 from .circuits import chunk_grid, sample_random_circuits
 from .kernels import Observable, ensemble_kernels
-from .linalg import RngStream, ginibre, haar_from_ginibre, kahan_sum, matrices_per_block
+from .linalg import STREAMS_PER_BLOCK, RngStream, ginibre, haar_from_ginibre, kahan_sum, matrices_per_block
+from .linalg import stream_block
 from .theory import kbar_exact
 
 
@@ -110,19 +111,19 @@ def mc_commutator_trace(
 def _haar_blocks(dim: int, samples: int, rng: RngStream):
     """(lo, V) for blocks of Haar samples V_s = haar_unitary(dim, rng.substream(s)), s = lo, lo+1, ...
 
-    Each block holds :func:`linalg.matrices_per_block` matrices, drawn from
-    their own substreams (real part before imaginary part) and QR'd as one
-    stack, so every V_s is bit-identical to the unitary drawn alone.
+    Each block holds :func:`linalg.matrices_per_block` matrices, at most
+    :data:`linalg.STREAMS_PER_BLOCK`, drawn from their own substreams (one
+    stream block; real part before imaginary part) and QR'd as one stack, so
+    every V_s is bit-identical to the unitary drawn alone.
     """
-    step = matrices_per_block(dim)
+    step = min(matrices_per_block(dim), STREAMS_PER_BLOCK)
     real = np.empty((min(step, samples), dim, dim))
     imag = np.empty_like(real)
     for lo in range(0, samples, step):
         count = min(step, samples - lo)
-        for i in range(count):
-            gen = rng.substream(lo + i).generator
-            gen.standard_normal(out=real[i])
-            gen.standard_normal(out=imag[i])
+        for i, sub in enumerate(stream_block(rng.seed, [rng.index + (s,) for s in range(lo, lo + count)])):
+            sub.generator.standard_normal(out=real[i])
+            sub.generator.standard_normal(out=imag[i])
         yield lo, haar_from_ginibre(ginibre(real[:count], imag[:count]))
 
 
@@ -139,7 +140,7 @@ def mc_kbar(
     target = kbar_exact(dim, layers, obs.trace_power(2), obs.trace_power(1))
     values = np.empty(samples)
     for lo, hi in chunk_grid(samples, dim, layers):
-        streams = [rng.substream(s + 1) for s in range(lo, hi)]
+        streams = stream_block(rng.seed, [rng.index + (s + 1,) for s in range(lo, hi)])
         batch = sample_random_circuits(n, layers, streams)
         values[lo:hi] = ensemble_kernels(batch, streams, obs.matrix, psi0)
     return MomentEstimate.from_samples(values, target)

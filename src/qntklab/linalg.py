@@ -3,14 +3,16 @@
 Everything downstream (circuits, kernels, Monte-Carlo oracles) is built on the
 primitives here: Kronecker-product Pauli operators and their base-4 codes,
 Haar-distributed unitaries, and reproducible random streams keyed by a
-(master seed, stream index) pair.
+(master seed, stream index) pair, built one at a time or as a block.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 PAULI_LETTERS = "IXYZ"
 
@@ -28,6 +30,10 @@ UNITARY_ATOL = 1e-10
 # fixed-layer stacks fit in it.  A single matrix larger than the budget is
 # handled on its own, as a stack of one.
 STACK_BYTES = 1 << 18
+
+# Streams of one stream block that draws matrices one after another: a stream
+# holds about 1 KiB, so the block's generators fit in STACK_BYTES.
+STREAMS_PER_BLOCK = STACK_BYTES >> 10
 
 
 class RngStream:
@@ -50,9 +56,13 @@ class RngStream:
         """Derive an independent child stream at the given index."""
         return RngStream(self.seed, self.index + (int(index),))
 
-    def reset(self) -> "RngStream":
-        """Fresh stream at the same address (restarts the sample sequence)."""
-        return RngStream(self.seed, self.index)
+    @classmethod
+    def _from_state(cls, seed: int, index: tuple[int, ...], state: np.ndarray) -> "RngStream":
+        """The stream at (seed, index), given the four uint64 words its SeedSequence would generate."""
+        stream = cls.__new__(cls)
+        stream.seed, stream.index = seed, index
+        stream._generator = np.random.Generator(np.random.PCG64(_StateWords(state)))
+        return stream
 
     @property
     def generator(self) -> np.random.Generator:
@@ -60,6 +70,150 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, index={self.index})"
+
+
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence that hands PCG64 the state words SeedSequence would generate, precomputed.
+
+    PCG64 asks its seed sequence for ``generate_state(4, np.uint64)`` once,
+    when it is built, and seeds itself from those words.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The uint32 words of a non-negative integer, least significant first, as SeedSequence splits it."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=64)
+def _hash_constants(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiplier) uint32 pairs of hashes start .. start + count - 1 of a constant chain.
+
+    SeedSequence's hash number i xors its value with c_i and multiplies it
+    by c_(i+1), where c_0 = init and c_(i+1) = c_i * mult mod 2^32.
+    """
+    chain = [init]
+    for _ in range(start + count):
+        chain.append(chain[-1] * mult & _MASK32)
+    chain = np.array(chain[start:], dtype=np.uint32)
+    chain.setflags(write=False)  # cached: shared by every caller
+    return chain[:-1], chain[1:]
+
+
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ (out >> _SHIFT)
+
+
+def _mix_words(pool: np.ndarray, words: np.ndarray, start: int) -> np.ndarray:
+    """Pools (K, 4) after mixing in words (K, m), from hash number ``start`` on.
+
+    SeedSequence mixes every word past the pool size into each pool entry in
+    turn; the word's hashes do not depend on the pool, so they are formed
+    for all words at once.
+    """
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, start, _POOL * words.shape[1])
+    hashed = _hashmix(words[..., None], xor.reshape(-1, _POOL), mult.reshape(-1, _POOL))
+    for j in range(words.shape[1]):
+        pool = _mix(pool, hashed[:, j])
+    return pool
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's pool (4,) after the words of ``seed``, and how many hashes they took.
+
+    A spawn key makes SeedSequence pad the seed's words with zeros to the
+    pool size.  The first four words fill the pool, which is then mixed
+    entry by entry; any later seed words are mixed in as the address's are.
+    """
+    words = _uint32_words(seed)
+    words = np.array(words + [0] * (_POOL - len(words)), dtype=np.uint32)
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 0, _POOL * _POOL)
+    pool = [_hashmix(words[i : i + 1], xor[i], mult[i]) for i in range(_POOL)]
+    hashes = iter(zip(xor[_POOL:], mult[_POOL:]))
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
+    pool = _mix_words(np.concatenate(pool)[None], words[None, _POOL:], _POOL * _POOL)[0]
+    pool.setflags(write=False)  # cached: shared by every caller
+    return pool, _POOL * len(words)
+
+
+def _state_words(seed: int, words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=a).generate_state(4, uint64)`` (K, 4) for address words (K, m)."""
+    pool, hashes = _seed_pool(seed)
+    pool = _mix_words(np.repeat(pool[None], len(words), axis=0), words, hashes)
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 0, 2 * _POOL)
+    state = _hashmix(np.concatenate((pool, pool), axis=1), xor, mult)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def stream_block(seed: int, addresses) -> list[RngStream]:
+    """``[RngStream(seed, a) for a in addresses]``, with the SeedSequence hashing vectorized.
+
+    Bit-identical to the streams built one at a time: SeedSequence's uint32
+    pool mixing is done for all addresses at once (the seed's part once per
+    seed), and each stream's PCG64 is seeded by numpy from its precomputed
+    state words.  The streams share no generator state.  Addresses are
+    non-empty tuples of non-negative integers; those whose entries split into
+    different numbers of uint32 words (entries of 2^32 and more) are hashed
+    in one block per word count.
+    """
+    seed = int(seed)
+    addresses = [tuple(map(int, a)) for a in addresses]
+    if not addresses:
+        return []
+    if not all(addresses):
+        raise ValueError("stream block addresses must be non-empty")
+    flat = [i for a in addresses for i in a]
+    # the common case: every entry is one uint32 word, so the addresses are the words
+    if len({len(a) for a in addresses}) == 1 and 0 <= min(flat) and max(flat) <= _MASK32:
+        words = np.array(addresses, dtype=np.uint32)
+        return [RngStream._from_state(seed, a, w) for a, w in zip(addresses, _state_words(seed, words))]
+    words = [[w for i in a for w in _uint32_words(i)] for a in addresses]
+    streams = [None] * len(addresses)
+    for count in {len(w) for w in words}:
+        ks = [k for k, w in enumerate(words) if len(w) == count]
+        state = _state_words(seed, np.array([words[k] for k in ks], dtype=np.uint32))
+        for k, w in zip(ks, state):
+            streams[k] = RngStream._from_state(seed, addresses[k], w)
+    return streams
+
+
+def substreams(streams, index: int) -> list[RngStream]:
+    """``[s.substream(index) for s in streams]``, as one stream block when the streams share their seed."""
+    seeds = {s.seed for s in streams}
+    if len(seeds) != 1:
+        return [s.substream(index) for s in streams]
+    return stream_block(seeds.pop(), [s.index + (int(index),) for s in streams])
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,31 @@ permutation layer replaces bit by bit (:func:`cnot_chain`).  The lazy Haar
 sampler's closed form is checked against its sequential form
 (:func:`lazy_haar_sequential`), which draws each layer's two vectors one
 layer at a time, forward and then backward (:func:`haar_image`,
-:func:`haar_pullback`).
+:func:`haar_pullback`).  Random streams built one at a time
+(:func:`plain_streams`, :func:`plain_substreams`, :func:`fresh_stream`) are
+the reference for the library's stream blocks.
 """
 
 import numpy as np
 
 from qntklab import residual_error
 from qntklab.circuits import uniform_angles
-from qntklab.linalg import PauliString, code_letters, pauli_matrix, zero_state
+from qntklab.linalg import PauliString, RngStream, code_letters, pauli_matrix, zero_state
+
+
+def plain_streams(seed: int, addresses) -> list[RngStream]:
+    """``RngStream(seed, a)`` for every address, each seeded on its own."""
+    return [RngStream(seed, a) for a in addresses]
+
+
+def plain_substreams(streams, index: int) -> list[RngStream]:
+    """``s.substream(index)`` for every stream, each seeded on its own."""
+    return [s.substream(index) for s in streams]
+
+
+def fresh_stream(stream: RngStream) -> RngStream:
+    """A new stream at the address of ``stream``: its sample sequence from the start."""
+    return RngStream(stream.seed, stream.index)
 
 
 def dense_fixed(w, dim: int) -> np.ndarray:

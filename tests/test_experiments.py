@@ -1,5 +1,9 @@
+import ast
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qntklab
 from qntklab.experiments import (
     EXIT_ALL_DIVERGED,
     EXIT_CHECK_FAILED,
@@ -22,7 +27,8 @@ from qntklab.experiments import (
     validate_config,
 )
 from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk, uniform_angles
-from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _eigen_chunk, _engine_entry_bytes, _qntk_chunk
+from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _dense_matrices, _descent_chunk, _eigen_chunk
+from qntklab.experiments import _engine_entry_bytes, _qntk_chunk
 from qntklab.kernels import supervised_kernels
 from qntklab.linalg import RngStream
 from qntklab.theory import delta_k, kbar_exact, kernel_eigenvalues
@@ -495,6 +501,16 @@ def test_chunked_outputs_byte_identical_across_threads(tmp_path):
         assert trees[0] == trees[1] == trees[2]
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool is imported only when a run asks for more than one worker
+    src = str(Path(qntklab.__file__).resolve().parents[1])
+    code = "import sys, qntklab.cli; print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    loaded = ast.literal_eval(out)
+    assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded, loaded
+
+
 def test_decay_fit_keys_validated(tmp_path):
     base = {"kind": "decay-fit", "input": str(tmp_path), "seed": 0}
     with pytest.raises(ConfigError, match="burn_in"):
@@ -567,7 +583,8 @@ def test_non_finite_and_boolean_values_are_config_errors(tmp_path, capsys, base,
 
 
 def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path, capsys):
-    # random-Haar at 13 qubits in angle mode: the observable and 64 dense layers of 1 GiB each
+    # random-Haar at 13 qubits in angle mode: the observable, 64 dense layers
+    # and the sampler's 4 temporary matrices, 1 GiB each
     big = qntk_cfg(qubits=13, layers=[64], observable={"kind": "random-pauli-sum"})
     path = tmp_path / "big.json"
     path.write_text(json.dumps(dict(big, resample="angle")))
@@ -575,7 +592,7 @@ def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path,
     assert cli_main(["qntk-stats", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "'qubits/layers'" in err and "65.0 GiB" in err and "Traceback" not in err
+    assert "'qubits/layers'" in err and "69.0 GiB" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
     # instance mode draws its Haar layers lazily, and the hardware-efficient
     # families hold no dense fixed layer: only the observable counts
@@ -631,6 +648,43 @@ def test_chunk_peak_memory_stays_within_the_guard_estimate(ansatz, layers):
     finally:
         tracemalloc.stop()
     assert peak <= _engine_entry_bytes(cfg) << 10
+
+
+_DENSE_CHUNKS = {
+    "train": (lambda: train_cfg(qubits=8, layers=16, steps=2, trials=1), _descent_chunk),
+    "train-supervised": (lambda: supervised_cfg(qubits=8, layers=16, steps=2, trials=1, train_size=4), _descent_chunk),
+    "eigen-scan": (lambda: scan_cfg(qubits=8, layers=16, trials=1, train_sizes=[4]), _eigen_chunk),
+    "angle": (lambda: qntk_cfg(qubits=8, layers=[16], samples=1, resample="angle", observable=_RANDOM), _qntk_chunk),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DENSE_CHUNKS))
+def test_dense_sampler_peak_memory_stays_within_the_guard_estimate(kind):
+    # one 8-qubit circuit of 16 Haar layers on the dense sampler (one matrix
+    # at a time at D >= 128) and its engine call; the observable's matrix is
+    # built first and counted as the guard counts it
+    raw, chunk = _DENSE_CHUNKS[kind]
+    cfg = validate_config(raw())
+    obs = realize_observable(cfg)
+    matrix = obs.matrix.nbytes
+    size = cfg.get("train_size", 4 if kind == "eigen-scan" else 1)
+    payload = {
+        "cfg": cfg,
+        "observable": obs,
+        "layers": cfg["layers"][0] if kind == "angle" else cfg["layers"],
+        "layer_index": 0,
+        "size_index": 0,
+        "train_size": size,
+        "features": np.eye(1 << cfg["qubits"], dtype=complex)[:size],
+        "target": np.zeros(size),
+    }
+    tracemalloc.start()
+    try:
+        chunk(payload, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix + peak <= (1 + _dense_matrices(cfg)) * matrix + (_engine_entry_bytes(cfg) << cfg["qubits"])
 
 
 _HEA_BASES = {

@@ -22,7 +22,7 @@ from qntklab.kernels import Observable, ensemble_kernels, haar_instance_kernels,
 from qntklab.linalg import PauliString, RngStream, code_letters, zero_state
 from qntklab.theory import kbar_exact
 
-from helpers import lazy_haar_sequential
+from helpers import fresh_stream, lazy_haar_sequential
 
 # distribution bands: mean and variance differences within this many of their
 # standard errors, quantiles within this many binomial standard errors
@@ -138,7 +138,7 @@ def test_a_kernel_depends_only_on_its_own_stream():
     streams = [RngStream(541, (k,)) for k in range(10)]
     whole = haar_instance_kernels(3, 6, streams, obs.matrix, zero_state(3))
     split = np.concatenate(
-        [haar_instance_kernels(3, 6, [s.reset() for s in part], obs.matrix, zero_state(3)) for part in (streams[:3], streams[3:])]
+        [haar_instance_kernels(3, 6, [fresh_stream(s) for s in part], obs.matrix, zero_state(3)) for part in (streams[:3], streams[3:])]
     )
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
 
@@ -173,10 +173,10 @@ def _check_against_the_sequential_form(n, layers, exclude_identity):
     streams = [RngStream(546, (k,)) for k in range(6)]
     values = haar_instance_kernels(n, layers, streams, obs.matrix, zero_state(n), exclude_identity)
     expected = np.array(
-        [qntk(lazy_haar_sequential(n, layers, s.reset(), obs.matrix, exclude_identity)[0]) for s in streams]
+        [qntk(lazy_haar_sequential(n, layers, fresh_stream(s), obs.matrix, exclude_identity)[0]) for s in streams]
     )
     low = 1 if exclude_identity else 0
-    zero = np.array([_exactly_zero(n, s.reset().generator.integers(low, 4**n, size=layers)) for s in streams])
+    zero = np.array([_exactly_zero(n, fresh_stream(s).generator.integers(low, 4**n, size=layers)) for s in streams])
     np.testing.assert_allclose(values[~zero], expected[~zero], rtol=1e-10, atol=0)
     if zero.any():
         scale = kbar_exact(1 << n, layers, obs.trace_power(2), obs.trace_power(1))
