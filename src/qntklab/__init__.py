@@ -12,16 +12,13 @@ from .kernels import (
     Observable,
     gradient,
     hessian_residual,
-    meta_kernel,
     model_output,
     qntk,
     random_pauli_sum,
     residual_error,
 )
 from .linalg import (
-    PauliString,
     RngStream,
-    basis_state,
     haar_unitary,
     pauli_matrix,
     sample_pauli,
@@ -43,12 +40,10 @@ __all__ = [
     "MomentEstimate",
     "NonRealExpectationError",
     "Observable",
-    "PauliString",
     "RngStream",
     "Trajectory",
     "TrainingConfig",
     "TrainingDivergenceError",
-    "basis_state",
     "build_hardware_efficient",
     "build_random_ansatz",
     "fit_decay_rate",
@@ -59,7 +54,6 @@ __all__ = [
     "mc_commutator_trace",
     "mc_kbar",
     "mc_second_moment",
-    "meta_kernel",
     "model_output",
     "pauli_matrix",
     "qntk",

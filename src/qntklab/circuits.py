@@ -41,7 +41,7 @@ from .linalg import (
     is_unitary,
     letters_code,
     matrices_per_block,
-    pauli_code,
+    sample_pauli,
     substreams,
     zero_state,
 )
@@ -177,17 +177,19 @@ class CircuitBatch:
 class AnsatzSpec(CircuitBatch):
     """One hand-built circuit, validated: a :class:`CircuitBatch` of size 1.
 
-    ``generators[k]`` (Pauli strings, or their letters) and
+    ``generators[k]`` (the letters of a Pauli string, such as ``"XZ"``) and
     ``fixed_unitaries[k]`` define layer k+1, whose gate is
     ``fixed_unitaries[k] @ exp(i theta_k generators[k])``, with the fixed
-    layer in one of the forms of the module docstring.  A permutation is
-    checked, and so is a dense layer's unitarity, once per distinct array.
+    layer in one of the forms of the module docstring.  The letters are
+    checked by ``linalg.letters_code``, a permutation is checked, and so is a
+    dense layer's unitarity, once per distinct array.
     """
 
     def __init__(self, num_qubits: int, generators, fixed_unitaries):
         if len(generators) != len(fixed_unitaries):
             raise ValueError("generator and fixed-unitary lists must have equal length")
-        if any(len(str(g)) != num_qubits for g in generators):
+        codes = [letters_code(g) for g in generators]
+        if any(len(g) != num_qubits for g in generators):
             raise ValueError(f"every generator must act on {num_qubits} qubits")
         dim = 1 << num_qubits
         # a layer array repeated in the circuit is checked once
@@ -202,7 +204,6 @@ class AnsatzSpec(CircuitBatch):
             elif not is_unitary(w):
                 raise ValueError(NOT_UNITARY)
             checked.add(id(w))
-        codes = [letters_code(str(g)) for g in generators]
         super().__init__(num_qubits, 1, tuple(fixed_unitaries), np.array([codes], dtype=np.int64))
 
 
@@ -277,7 +278,7 @@ def _draw_random_layers(n: int, layers: int, streams, exclude_identity: bool):
         for i in range(lo, hi):
             s, layer = divmod(i, layers)
             rng = streams[s]
-            codes[s, layer] = pauli_code(n, rng, exclude_identity)
+            codes[s, layer] = sample_pauli(n, rng, exclude_identity)
             rng.generator.standard_normal(out=parts[i - lo])
         block = flat[lo:hi]
         block[...] = haar_from_ginibre(ginibre(parts[: hi - lo, 0], parts[: hi - lo, 1], out=block))

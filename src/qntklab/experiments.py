@@ -28,7 +28,7 @@ from .circuits import (
 from .haar import mc_commutator_trace, mc_second_moment
 from .kernels import LAZY_ENTRY_BYTES, Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum
 from .kernels import supervised_kernels
-from .linalg import STACK_BYTES, PauliString, RngStream, kahan_sum, pauli_matrix, stream_block, zero_state
+from .linalg import STACK_BYTES, RngStream, kahan_sum, letters_code, pauli_matrix, stream_block, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
 from .training import fit_decay_rate, gd_batch, squared_loss
 
@@ -206,7 +206,7 @@ def _validate_observable(spec, key="observable") -> dict:
                 _fail(f"{key}.terms[{i}]", "must be a [coefficient, letters] pair")
             _as_number(f"{key}.terms[{i}]", term[0])
             try:
-                PauliString(term[1])
+                letters_code(term[1])
             except ValueError as exc:
                 _fail(f"{key}.terms[{i}]", str(exc))
         lengths = {len(t[1]) for t in terms}
@@ -391,8 +391,7 @@ def config_hash(cfg: dict) -> str:
 def realize_observable(cfg: dict) -> Observable:
     spec = cfg["observable"]
     if spec["kind"] == "pauli-sum":
-        terms = tuple((float(c), PauliString(s)) for c, s in spec["terms"])
-        return Observable(terms, target=spec["target"])
+        return Observable.from_letters(spec["terms"], spec["target"])
     n = cfg["qubits"] if isinstance(cfg["qubits"], int) else max(cfg["qubits"])
     return random_pauli_sum(
         n,
@@ -810,7 +809,7 @@ def run_haar_check(cfg: dict, out_dir: Path) -> int:
         psi = zero_state(n)
         second = mc_second_moment(dim, psi, traceless, cfg["samples"], rng.substream(0))
         checks.append({"name": f"second-moment-D{dim}", **second.as_dict()})
-        x_mat = pauli_matrix(_first_nonidentity_pauli(n))
+        x_mat = pauli_matrix("Z" + "I" * (n - 1))
         comm = mc_commutator_trace(dim, x_mat, obs_mat, cfg["samples"], rng.substream(1))
         checks.append({"name": f"commutator-trace-D{dim}", **comm.as_dict()})
     all_pass = all(c["pass"] for c in checks)
@@ -834,14 +833,10 @@ def run_haar_check(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
-def _first_nonidentity_pauli(n: int) -> PauliString:
-    return PauliString("Z" + "I" * (n - 1))
-
-
 def _restrict_observable(obs: Observable, n: int) -> Observable:
-    """Observable on the first n of its qubits (haar-check across dims)."""
-    terms = tuple((coef, PauliString(pauli.letters[:n])) for coef, pauli in obs.terms)
-    return Observable(terms, target=obs.target)
+    """Observable on the first n of its qubits (haar-check across dims): the leading n digits of each code."""
+    shift = 2 * (obs.num_qubits - n)
+    return Observable(n, tuple((coef, code >> shift) for coef, code in obs.terms), obs.target)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Residual error, exact derivatives, QNTK, meta-kernel, and supervised kernels.
+"""Residual error, exact derivatives, QNTK, and supervised kernels.
 
 The first derivative of the expectation value with respect to angle ``ell`` is
 the commutator sandwich
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import NOT_UNITARY, CircuitBatch, code_tables, ensemble_angles
-from .linalg import STACK_BYTES, UNITARY_ATOL, PauliString, RngStream, pauli_matrix, sample_pauli
+from .linalg import STACK_BYTES, UNITARY_ATOL, RngStream, code_letters, letters_code, pauli_matrix, sample_pauli
 
 IMAG_TOL = 1e-10
 
@@ -97,30 +97,40 @@ def _real_rows(values: np.ndarray, tol: float = IMAG_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian operator as a weighted Pauli sum, immutable, with a cached dense matrix.
+    """Hermitian operator on ``num_qubits`` qubits as a weighted Pauli sum, immutable, with a cached matrix.
 
-    ``target`` is the scalar the expectation value is trained toward.  The
-    matrix is computed on first use and kept outside the dataclass fields, so
-    it can be neither passed in nor left stale.  Trace powers come from the
-    Pauli terms alone and never build it.
+    ``terms`` holds (coefficient, code) pairs, each code the base-4 code of a
+    Pauli string (``linalg.code_letters``); :meth:`from_letters` builds one
+    from letters and :meth:`as_dict` writes it back as letters.  ``target``
+    is the scalar the expectation value is trained toward.  The matrix is
+    computed on first use and kept outside the dataclass fields, so it can be
+    neither passed in nor left stale.  Trace powers come from the Pauli terms
+    alone and never build it.
     """
 
-    terms: tuple[tuple[float, PauliString], ...]
+    num_qubits: int
+    terms: tuple[tuple[float, int], ...]
     target: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((float(c), p) for c, p in self.terms))
+        object.__setattr__(self, "terms", tuple((float(c), int(p)) for c, p in self.terms))
         if not self.terms:
             raise ValueError("observable needs at least one term")
+        if self.num_qubits < 1:
+            raise ValueError("observable needs num_qubits >= 1")
         if not all(np.isfinite(c) for c, _ in self.terms):
             raise ValueError("observable coefficients must be finite")
-        n = self.terms[0][1].num_qubits
-        if any(p.num_qubits != n for _, p in self.terms):
-            raise ValueError("all terms must act on the same number of qubits")
+        if not all(0 <= p < 4**self.num_qubits for _, p in self.terms):
+            raise ValueError(f"Pauli codes must lie in [0, 4^{self.num_qubits})")
 
-    @property
-    def num_qubits(self) -> int:
-        return self.terms[0][1].num_qubits
+    @classmethod
+    def from_letters(cls, terms, target: float) -> "Observable":
+        """The observable of (coefficient, letters) pairs, the inverse of :meth:`as_dict`."""
+        widths = {len(letters) for _, letters in terms}
+        if len(widths) > 1:
+            raise ValueError("all terms must act on the same number of qubits")
+        codes = tuple((c, letters_code(letters)) for c, letters in terms)
+        return cls(max(widths, default=0), codes, target)
 
     @property
     def dim(self) -> int:
@@ -131,8 +141,8 @@ class Observable:
         cache = self.__dict__
         if "_matrix" not in cache:
             acc = np.zeros((self.dim, self.dim), dtype=complex)
-            for coef, pauli in self.terms:
-                acc += coef * pauli_matrix(pauli)
+            for coef, code in self.terms:
+                acc += coef * pauli_matrix(code_letters(self.num_qubits, code))
             acc.setflags(write=False)
             cache["_matrix"] = acc
         return cache["_matrix"]
@@ -149,8 +159,8 @@ class Observable:
         if k < 0:
             raise ValueError("trace power needs k >= 0")
         terms: dict[tuple[int, int], float] = {}
-        for coef, pauli in self.terms:
-            key = _pauli_masks(pauli.letters)
+        for coef, code in self.terms:
+            key = _pauli_masks(code, self.num_qubits)
             terms[key] = terms.get(key, 0.0) + coef
         left = _pauli_power(terms, k - k // 2)
         right = _pauli_power(terms, k // 2)
@@ -158,18 +168,20 @@ class Observable:
 
     def as_dict(self) -> dict:
         return {
-            "terms": [[c, p.letters] for c, p in self.terms],
+            "terms": [[c, code_letters(self.num_qubits, code)] for c, code in self.terms],
             "target": self.target,
         }
 
 
-def _pauli_masks(letters: str) -> tuple[int, int]:
-    """(x, z) bit masks of a Pauli string: P = i^|x & z| X^x Z^z, qubit 0 the top bit."""
-    x = z = 0
-    for letter in letters:
-        x = (x << 1) | (letter in "XY")
-        z = (z << 1) | (letter in "ZY")
-    return x, z
+def _pauli_masks(code: int, n: int) -> tuple[int, int]:
+    """(x, z) bit masks of a Pauli code: P = i^|x & z| X^x Z^z, qubit q on bit 2 (n - 1 - q).
+
+    A digit is I=00, X=01, Y=10 or Z=11: z is its high bit and x the XOR of
+    its two bits.
+    """
+    low = (4**n - 1) // 3  # the low bit of every digit
+    z = (code >> 1) & low
+    return z ^ (code & low), z
 
 
 def _pauli_power(terms: dict, power: int) -> dict:
@@ -211,10 +223,10 @@ def random_pauli_sum(
     """
     terms = []
     for _ in range(num_terms):
-        pauli = sample_pauli(n, rng, exclude_identity=False)
+        code = sample_pauli(n, rng, exclude_identity=False)
         coef = float(rng.generator.uniform(coeff_low, coeff_high))
-        terms.append((coef, pauli))
-    return Observable(tuple(terms), target=target)
+        terms.append((coef, code))
+    return Observable(n, tuple(terms), target)
 
 
 def _check_inputs(dim: int, size: int, psi0, obs_matrix: np.ndarray) -> np.ndarray:
@@ -534,15 +546,6 @@ def hessian_residual(
     return np.triu(pair) + np.triu(pair, 1).T
 
 
-def meta_kernel(grad: np.ndarray, hessian: np.ndarray) -> float:
-    """Quadratic form g^T H g controlling the second-order error update."""
-    grad = np.asarray(grad, dtype=float)
-    hessian = np.asarray(hessian, dtype=float)
-    if hessian.shape != (grad.size, grad.size):
-        raise ValueError("gradient and hessian shapes disagree")
-    return float(grad @ hessian @ grad)
-
-
 def supervised_kernels(
     batch: CircuitBatch, theta: np.ndarray, features: np.ndarray, obs_matrix: np.ndarray
 ) -> np.ndarray:
@@ -571,7 +574,6 @@ __all__ = [
     "gradient",
     "haar_instance_kernels",
     "hessian_residual",
-    "meta_kernel",
     "model_output",
     "qntk",
     "random_pauli_sum",

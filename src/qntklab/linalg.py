@@ -1,15 +1,17 @@
-"""Dense complex linear algebra, Pauli-string algebra, and seeded random sampling.
+"""Dense complex linear algebra, Pauli strings as base-4 codes, and seeded random sampling.
 
 Everything downstream (circuits, kernels, Monte-Carlo oracles) is built on the
-primitives here: Kronecker-product Pauli operators and their base-4 codes,
-Haar-distributed unitaries, and reproducible random streams keyed by a
-(master seed, stream index) pair, built one at a time or as a block.
+primitives here.  A Pauli string is held as its base-4 code (I=0, X=1, Y=2,
+Z=3, qubit 0 the most significant digit).  Letters are read and written only
+at the edges (:func:`letters_code`, :func:`code_letters`), and
+:func:`pauli_matrix` builds a string's dense Kronecker product from them.
+The rest are Haar-distributed unitaries and reproducible random streams keyed
+by a (master seed, stream index) pair, built one at a time or as a block.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -216,39 +218,11 @@ def substreams(streams, index: int) -> list[RngStream]:
     return stream_block(seeds.pop(), [s.index + (int(index),) for s in streams])
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit I/X/Y/Z operators, e.g. ``"XZI"``.
+def pauli_matrix(letters: str) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a Pauli string's letters (Hermitian, unitary).
 
-    Qubit 0 is the leftmost letter and the most significant index bit, matching
-    the Kronecker-product order of :func:`pauli_matrix`.
+    Qubit 0 is the leftmost letter and the most significant index bit.
     """
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or any(c not in PAULI_LETTERS for c in self.letters):
-            raise ValueError(f"invalid Pauli string {self.letters!r}")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.letters)
-
-    @property
-    def dim(self) -> int:
-        return 1 << len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return set(self.letters) == {"I"}
-
-    def __str__(self):
-        return self.letters
-
-
-def pauli_matrix(p: PauliString | str) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli string (Hermitian, unitary)."""
-    letters = p.letters if isinstance(p, PauliString) else p
     out = PAULI_1Q[letters[0]]
     for letter in letters[1:]:
         out = np.kron(out, PAULI_1Q[letter])
@@ -296,13 +270,6 @@ def haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
     return haar_from_ginibre(ginibre(gen.standard_normal((dim, dim)), gen.standard_normal((dim, dim))))
 
 
-def pauli_code(n: int, rng: RngStream, exclude_identity: bool = True) -> int:
-    """Base-4 code of a uniform Pauli string; the last letter is the lowest digit."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return int(rng.generator.integers(1 if exclude_identity else 0, 4**n))
-
-
 def code_letters(n: int, code: int) -> str:
     """Letters of the Pauli string with base-4 code ``code`` (I=0, X=1, Y=2, Z=3)."""
     letters = []
@@ -313,34 +280,32 @@ def code_letters(n: int, code: int) -> str:
 
 
 def letters_code(letters: str) -> int:
-    """Base-4 code of a Pauli string's letters, the inverse of :func:`code_letters`."""
+    """Base-4 code of a Pauli string's letters, the inverse of :func:`code_letters`.
+
+    This is the one check of letters: a string that is empty or holds
+    anything but I, X, Y and Z is refused.
+    """
+    if not letters or any(x not in PAULI_LETTERS for x in letters):
+        raise ValueError(f"invalid Pauli string {letters!r}")
     return int("".join(str(PAULI_LETTERS.index(x)) for x in letters), 4)
 
 
-def sample_pauli(n: int, rng: RngStream, exclude_identity: bool = True) -> PauliString:
-    """Uniform unsigned Pauli string on n qubits.
+def sample_pauli(n: int, rng: RngStream, exclude_identity: bool = True) -> int:
+    """Base-4 code of a uniform Pauli string on n qubits.
 
     With ``exclude_identity`` (the default for circuit generators) the draw is
     uniform over the 4^n - 1 nontrivial strings; the all-identity string would
     be a dead parameter since it commutes with every observable.
     """
-    return PauliString(code_letters(n, pauli_code(n, rng, exclude_identity)))
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return int(rng.generator.integers(1 if exclude_identity else 0, 4**n))
 
 
 def zero_state(n: int) -> np.ndarray:
     """|0...0> on n qubits."""
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
-    return psi
-
-
-def basis_state(n: int, index: int) -> np.ndarray:
-    """Computational basis state |index> on n qubits."""
-    dim = 1 << n
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {n} qubits")
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
     return psi
 
 

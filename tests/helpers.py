@@ -16,14 +16,35 @@ sampler's closed form is checked against its sequential form
 layer at a time, forward and then backward (:func:`haar_image`,
 :func:`haar_pullback`).  Random streams built one at a time
 (:func:`plain_streams`, :func:`plain_substreams`, :func:`fresh_stream`) are
-the reference for the library's stream blocks.
+the reference for the library's stream blocks.  Basis states
+(:func:`basis_state`) and the meta-kernel g^T H g of the library's exact
+gradient and Hessian (:func:`meta_kernel`) live here too: only tests use them.
 """
 
 import numpy as np
 
 from qntklab import residual_error
 from qntklab.circuits import uniform_angles
-from qntklab.linalg import PauliString, RngStream, code_letters, pauli_matrix, zero_state
+from qntklab.linalg import RngStream, code_letters, pauli_matrix, zero_state
+
+
+def basis_state(n: int, index: int) -> np.ndarray:
+    """Computational basis state |index> on n qubits."""
+    dim = 1 << n
+    if not 0 <= index < dim:
+        raise ValueError(f"basis index {index} out of range for {n} qubits")
+    psi = np.zeros(dim, dtype=complex)
+    psi[index] = 1.0
+    return psi
+
+
+def meta_kernel(grad: np.ndarray, hessian: np.ndarray) -> float:
+    """Quadratic form g^T H g controlling the second-order error update."""
+    grad = np.asarray(grad, dtype=float)
+    hessian = np.asarray(hessian, dtype=float)
+    if hessian.shape != (grad.size, grad.size):
+        raise ValueError("gradient and hessian shapes disagree")
+    return float(grad @ hessian @ grad)
 
 
 def plain_streams(seed: int, addresses) -> list[RngStream]:
@@ -104,14 +125,14 @@ def cnot_chain(n: int) -> np.ndarray:
     return mat
 
 
-def pauli_rotation(p: PauliString | str, theta: float) -> np.ndarray:
+def pauli_rotation(p: str, theta: float) -> np.ndarray:
     """exp(i*theta*P) = cos(theta) I + i sin(theta) P, using P^2 = I."""
     mat = pauli_matrix(p)
     dim = mat.shape[0]
     return np.cos(theta) * np.eye(dim, dtype=complex) + 1j * np.sin(theta) * mat
 
 
-def rotate_state(p: PauliString, theta: float, psi: np.ndarray) -> np.ndarray:
+def rotate_state(p: str, theta: float, psi: np.ndarray) -> np.ndarray:
     """exp(i*theta*P) applied to a state as cos(theta) psi + i sin(theta) P psi, with P dense."""
     return np.cos(theta) * psi + 1j * np.sin(theta) * (pauli_matrix(p) @ psi)
 

@@ -14,7 +14,6 @@ import pytest
 
 from qntklab import (
     Observable,
-    PauliString,
     RngStream,
     build_random_ansatz,
     fit_decay_rate,
@@ -23,7 +22,6 @@ from qntklab import (
     mc_commutator_trace,
     mc_kbar,
     mc_second_moment,
-    meta_kernel,
     random_pauli_sum,
     uniform_angles,
     zero_state,
@@ -35,9 +33,9 @@ from qntklab.linalg import pauli_matrix
 from qntklab.theory import kbar_exact, kernel_eigenvalues
 from qntklab.training import gd_batch
 
-from helpers import fd_gradient, fd_hessian, gradient_close
+from helpers import fd_gradient, fd_hessian, gradient_close, meta_kernel
 
-ZZ = Observable(((1.0, PauliString("ZZ")),))
+ZZ = Observable.from_letters(((1.0, "ZZ"),), 0.0)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -163,7 +161,7 @@ def test_criterion_4_exponential_decay():
 
 def _eigen_protocol(seed: int):
     n, layers, dim = 4, 64, 16
-    obs = Observable(((1.0, PauliString("ZZII")),))
+    obs = Observable.from_letters(((1.0, "ZZII"),), 0.0)
     rng = RngStream(seed)
     worst = 0.0
     rows = []

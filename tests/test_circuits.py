@@ -16,7 +16,6 @@ from qntklab.circuits import (
     uniform_angles,
 )
 from qntklab.linalg import (
-    PauliString,
     RngStream,
     code_letters,
     haar_unitary,
@@ -141,7 +140,7 @@ def test_expectation_two_pi_periodicity():
     rng = RngStream(12)
     a = build_random_ansatz(2, 5, rng)
     theta = uniform_angles(5, rng.substream(0))
-    obs = Observable(((1.0, PauliString("ZZ")), (0.4, PauliString("XY"))))
+    obs = Observable.from_letters(((1.0, "ZZ"), (0.4, "XY")), 0.0)
     psi = zero_state(2)
     base = residual_error(a, theta, obs, psi)
     for ell in range(5):
@@ -244,7 +243,7 @@ def test_gate_factors_are_the_fixed_unitary_and_its_product_with_the_generator()
 
 def test_hand_built_circuit_is_a_one_circuit_batch():
     w = haar_unitary(4, RngStream(27))
-    a = AnsatzSpec(2, (PauliString("XZ"), "IY", PauliString("ZI")), (w, None, cnot_ladder(2)))
+    a = AnsatzSpec(2, ("XZ", "IY", "ZI"), (w, None, cnot_ladder(2)))
     assert isinstance(a, CircuitBatch) and a.size == 1 and a.num_layers == 3
     assert letters(a) == ["XZ", "IY", "ZI"]
     assert a.fixed[0] is w and a.fixed[1] is None
@@ -255,23 +254,29 @@ def test_hand_built_circuit_is_a_one_circuit_batch():
 
 def test_generator_of_the_wrong_width_rejected():
     with pytest.raises(ValueError, match="act on 2 qubits"):
-        AnsatzSpec(2, (PauliString("XZ"), PauliString("XYZ")), (None, None))
+        AnsatzSpec(2, ("XZ", "XYZ"), (None, None))
+
+
+@pytest.mark.parametrize("num_qubits, letters", [(1, "Q"), (2, "xz"), (2, "X-")])
+def test_generator_with_invalid_letters_rejected(num_qubits, letters):
+    with pytest.raises(ValueError, match=f"invalid Pauli string '{letters}'"):
+        AnsatzSpec(num_qubits, (letters,), (None,))
 
 
 def test_single_circuit_calls_reject_a_larger_batch():
     batch = sample_random_circuits(2, 3, [RngStream(28, (k,)) for k in range(2)])
     with pytest.raises(ValueError, match="one circuit"):
-        residual_error(batch, np.zeros(3), Observable(((1.0, PauliString("ZZ")),)), zero_state(2))
+        residual_error(batch, np.zeros(3), Observable.from_letters(((1.0, "ZZ"),), 0.0), zero_state(2))
 
 
 def test_mismatched_layer_lists_rejected():
     with pytest.raises(ValueError):
-        AnsatzSpec(1, (PauliString("Z"),), tuple())
+        AnsatzSpec(1, ("Z",), tuple())
 
 
 def test_non_unitary_fixed_layer_rejected():
     with pytest.raises(ValueError):
-        AnsatzSpec(1, (PauliString("Z"),), (2.0 * np.eye(2, dtype=complex),))
+        AnsatzSpec(1, ("Z",), (2.0 * np.eye(2, dtype=complex),))
 
 
 @pytest.mark.parametrize("n,layers", [(2, 6), (3, 0), (7, 3)])
@@ -287,10 +292,10 @@ def test_batched_sampler_matches_circuits_built_alone(n, layers):
         for k in range(layers):
             gen = sample_pauli(n, rng)
             w = haar_unitary(1 << n, rng)
-            assert gen.letters == code_letters(n, int(alone.codes[0, k]))
+            assert gen == alone.codes[0, k]
             assert np.array_equal(alone.fixed[k], w)
             assert np.array_equal(batch.fixed[k][s], w)
-            perm, phase = pauli_action(gen.letters)
+            perm, phase = pauli_action(code_letters(n, gen))
             assert np.array_equal(batch.perms[k, s], perm)
             assert np.array_equal(batch.phases[k, s], phase)
 
@@ -340,7 +345,7 @@ def test_each_fixed_array_is_checked_once(monkeypatch):
     original = circuits.is_unitary
     monkeypatch.setattr(circuits, "is_unitary", lambda w: calls.append(w) or original(w))
     w = haar_unitary(8, RngStream(23))
-    gens = tuple(PauliString(x) for x in ("XII", "IZI", "IIY", "ZZI", "XYZ"))
+    gens = ("XII", "IZI", "IIY", "ZZI", "XYZ")
     a = AnsatzSpec(3, gens, (w, None, w, cnot_ladder(3), w))
     assert a.num_layers == 5
     assert len(calls) == 1  # the repeated dense layer; identity and permutation need no check
@@ -377,7 +382,7 @@ def test_cnot_ladder_is_the_dense_chain(n):
 )
 def test_bad_permutation_layer_rejected(perm, message):
     with pytest.raises(ValueError, match=message):
-        AnsatzSpec(2, (PauliString("XZ"),), (np.array(perm),))
+        AnsatzSpec(2, ("XZ",), (np.array(perm),))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -28,8 +28,8 @@ from qntklab.experiments import (
 )
 from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk, uniform_angles
 from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _dense_matrices, _descent_chunk, _eigen_chunk
-from qntklab.experiments import _engine_entry_bytes, _qntk_chunk
-from qntklab.kernels import supervised_kernels
+from qntklab.experiments import _engine_entry_bytes, _qntk_chunk, _restrict_observable
+from qntklab.kernels import Observable, supervised_kernels
 from qntklab.linalg import RngStream
 from qntklab.theory import delta_k, kbar_exact, kernel_eigenvalues
 from qntklab.training import gd_batch, squared_loss
@@ -79,6 +79,11 @@ def test_kind_mismatch_rejected():
 def test_bad_observable_term_rejected():
     with pytest.raises(ConfigError, match="terms"):
         validate_config(qntk_cfg(observable={"kind": "pauli-sum", "terms": [[1.0, "ZQ"]]}))
+    for i, bad in enumerate(["", "zz", "Z?"]):
+        terms = [[1.0, "ZZ"]] * i + [[1.0, bad]]
+        with pytest.raises(ConfigError) as err:
+            validate_config(qntk_cfg(observable={"kind": "pauli-sum", "terms": terms}))
+        assert str(err.value) == f"config key 'observable.terms[{i}]': invalid Pauli string {bad!r}"
     with pytest.raises(ConfigError, match="observable"):
         validate_config(qntk_cfg(observable={"kind": "mystery"}))
 
@@ -379,6 +384,15 @@ def test_haar_check_report_and_determinism(tmp_path):
     report = json.loads((tmp_path / "a" / "report.json").read_text())
     assert len(report["checks"]) == 4
     assert all(abs(c["z_score"]) <= 3 for c in report["checks"])
+
+
+def test_haar_check_restriction_keeps_the_leading_letters():
+    # qubit 0 is the leftmost letter: a narrower check keeps the first n qubits
+    obs = Observable.from_letters(((1.0, "XZY"), (0.4, "IZZ")), 0.5)
+    for n, letters in ((3, ["XZY", "IZZ"]), (2, ["XZ", "IZ"]), (1, ["X", "I"])):
+        restricted = _restrict_observable(obs, n)
+        assert restricted.num_qubits == n
+        assert restricted.as_dict() == {"terms": [[1.0, letters[0]], [0.4, letters[1]]], "target": 0.5}
 
 
 def test_haar_check_failure_exit_code(tmp_path, monkeypatch):

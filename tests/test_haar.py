@@ -4,10 +4,10 @@ import pytest
 from qntklab.circuits import build_hardware_efficient, build_random_ansatz, uniform_angles
 from qntklab.haar import MomentEstimate, mc_commutator_trace, mc_kbar, mc_second_moment
 from qntklab.kernels import Observable, gradient, qntk, supervised_kernels
-from qntklab.linalg import PauliString, RngStream, haar_unitary, pauli_matrix, zero_state
+from qntklab.linalg import RngStream, haar_unitary, pauli_matrix, zero_state
 from qntklab.theory import delta_k, kbar_exact, supervised_kbar
 
-ZZ = Observable(((1.0, PauliString("ZZ")),))
+ZZ = Observable.from_letters(((1.0, "ZZ"),), 0.0)
 
 
 def test_estimate_from_constant_samples():
@@ -111,7 +111,7 @@ def test_supervised_kernel_entry_means_match_closed_forms():
 def test_kernel_std_tracks_leading_order_at_large_dimension():
     # the leading-order fluctuation formula is a large-D statement; at D=16
     # the ensemble standard deviation lands within the loose 25 percent band
-    obs = Observable(((1.0, PauliString("ZZII")),))
+    obs = Observable.from_letters(((1.0, "ZZII"),), 0.0)
     psi = zero_state(4)
     values = np.empty(1200)
     for s in range(1200):
@@ -127,7 +127,7 @@ def test_kernel_std_tracks_leading_order_at_large_dimension():
 def test_hardware_efficient_kernel_approaches_haar_average(variant):
     # at depth 16 both layered families scramble enough that the angle-ensemble
     # kernel mean sits near the Haar-circuit closed form
-    obs = Observable(((1.0, PauliString("ZZII")),))
+    obs = Observable.from_letters(((1.0, "ZZII"),), 0.0)
     psi = zero_state(4)
     ansatz = build_hardware_efficient(4, 16, variant, RngStream(403))
     layers = ansatz.num_layers

@@ -21,7 +21,6 @@ from qntklab.kernels import (
     forward_adjoint,
     gradient,
     hessian_residual,
-    meta_kernel,
     model_output,
     qntk,
     random_pauli_sum,
@@ -29,17 +28,17 @@ from qntklab.kernels import (
     supervised_kernels,
 )
 from qntklab.linalg import (
-    PauliString,
     RngStream,
-    basis_state,
     code_letters,
     haar_unitary,
-    pauli_code,
+    letters_code,
     pauli_matrix,
+    sample_pauli,
     zero_state,
 )
 
 from helpers import (
+    basis_state,
     circuit_layers,
     circuit_unitary,
     cnot_chain,
@@ -48,11 +47,12 @@ from helpers import (
     fd_gradient,
     fd_hessian,
     gradient_close,
+    meta_kernel,
     parameter_shift_gradient,
     prefix_suffix,
 )
 
-ZZ = Observable(((1.0, PauliString("ZZ")),))
+ZZ = Observable.from_letters(((1.0, "ZZ"),), 0.0)
 
 
 def random_setup(seed, n=2, layers=8, terms=10):
@@ -66,13 +66,13 @@ def random_setup(seed, n=2, layers=8, terms=10):
 def test_observable_dense_matches_term_sum():
     rng = RngStream(1)
     obs = random_pauli_sum(3, 10, rng)
-    expected = sum(c * pauli_matrix(p) for c, p in obs.terms)
+    expected = sum(c * pauli_matrix(code_letters(3, p)) for c, p in obs.terms)
     assert np.max(np.abs(obs.matrix - expected)) <= 1e-12
     assert np.max(np.abs(obs.matrix - obs.matrix.conj().T)) <= 1e-12
 
 
 def test_observable_trace_powers():
-    obs = Observable(((0.7, PauliString("ZZ")), (0.2, PauliString("XI"))))
+    obs = Observable.from_letters(((0.7, "ZZ"), (0.2, "XI")), 0.0)
     mat = np.asarray(obs.matrix)
     for k in (1, 2, 3, 4, 6):
         direct = np.trace(np.linalg.matrix_power(mat, k)).real
@@ -80,8 +80,8 @@ def test_observable_trace_powers():
     # repeated strings, an identity term, signs and Y letters, against the spectrum
     for n in range(1, 6):
         drawn = random_pauli_sum(n, 12, RngStream(40, (n,)), coeff_low=-1.0, coeff_high=1.0).terms
-        terms = drawn + drawn[:3] + ((0.4, PauliString("I" * n)), (-0.3, PauliString("Y" * n)))
-        obs = Observable(terms)
+        terms = drawn + drawn[:3] + ((0.4, letters_code("I" * n)), (-0.3, letters_code("Y" * n)))
+        obs = Observable(n, terms)
         spectrum = np.linalg.eigvalsh(obs.matrix)
         for k in range(1, 7):
             direct = float(np.sum(spectrum**k))
@@ -89,7 +89,7 @@ def test_observable_trace_powers():
 
 
 def test_trace_power_overflow_is_inf():
-    huge = Observable(((1e160, PauliString("ZZ")), (1e160, PauliString("XI"))))
+    huge = Observable.from_letters(((1e160, "ZZ"), (1e160, "XI")), 0.0)
     assert huge.trace_power(2) == float("inf")
     assert huge.trace_power(1) == 0.0
 
@@ -97,15 +97,43 @@ def test_trace_power_overflow_is_inf():
 def test_observable_is_frozen_and_caches_outside_its_fields():
     # a cache passed to the constructor used to be trusted: trace_power(2) gave 0
     with pytest.raises(TypeError):
-        Observable(((1.0, PauliString("ZZ")),), _matrix=np.zeros((4, 4)))
-    obs = Observable(((1.0, PauliString("ZZ")),))
+        Observable(2, ((1.0, 15),), _matrix=np.zeros((4, 4)))
+    obs = Observable(2, ((1.0, 15),))
     assert obs.trace_power(2) == 4.0
     # reassigning the terms after a matrix read used to leave the old matrix
     with pytest.raises(dataclasses.FrozenInstanceError):
-        obs.terms = ((1.0, PauliString("XX")),)
+        obs.terms = ((1.0, 5),)
     assert np.array_equal(obs.matrix, pauli_matrix("ZZ"))
     with pytest.raises(ValueError, match="finite"):
-        Observable(((float("nan"), PauliString("ZZ")),))
+        Observable(2, ((float("nan"), 15),))
+
+
+def test_observable_checks_its_codes_and_width():
+    for code in (-1, 16, 4**3):
+        with pytest.raises(ValueError, match="codes"):
+            Observable(2, ((1.0, code),))
+    assert Observable(2, ((1.0, 0), (0.5, 15))).terms == ((1.0, 0), (0.5, 15))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="num_qubits"):
+            Observable(n, ((1.0, 0),))
+    with pytest.raises(ValueError, match="at least one term"):
+        Observable(2, ())
+    with pytest.raises(ValueError, match="same number of qubits"):
+        Observable.from_letters(((1.0, "ZZ"), (0.5, "Z")), 0.0)
+    with pytest.raises(ValueError, match="invalid Pauli string 'ZQ'"):
+        Observable.from_letters(((1.0, "ZQ"),), 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_observable_letters_round_trip(n):
+    for k in range(4):
+        obs = random_pauli_sum(n, 7, RngStream(60, (n, k)), coeff_low=-2.0, coeff_high=2.0, target=0.3 * k)
+        assert all(isinstance(c, float) and isinstance(p, int) for c, p in obs.terms)
+        d = obs.as_dict()
+        assert all(len(letters) == n for _, letters in d["terms"])
+        back = Observable.from_letters(d["terms"], d["target"])
+        assert back.num_qubits == n
+        assert back.terms == obs.terms and back.target == obs.target
 
 
 def test_observable_coefficients_in_range():
@@ -117,7 +145,7 @@ def test_observable_coefficients_in_range():
 def test_residual_error_basis_cases():
     empty = build_random_ansatz(2, 0, RngStream(3))
     assert residual_error(empty, np.empty(0), ZZ, zero_state(2)) == pytest.approx(1.0)
-    shifted = Observable(ZZ.terms, target=-1.0)
+    shifted = Observable(2, ZZ.terms, -1.0)
     assert residual_error(empty, np.empty(0), shifted, basis_state(2, 1)) == pytest.approx(0.0)
 
 
@@ -143,7 +171,7 @@ def test_gradient_empty_circuit():
 
 def test_gradient_zero_for_commuting_generator():
     # [Z1, ZZ] = 0, so the single angle is a dead direction
-    ansatz = AnsatzSpec(2, (PauliString("ZI"),), (np.eye(4, dtype=complex),))
+    ansatz = AnsatzSpec(2, ("ZI",), (np.eye(4, dtype=complex),))
     g = gradient(ansatz, np.array([0.9]), ZZ, (basis_state(2, 0) + basis_state(2, 3)) / np.sqrt(2))
     assert abs(g[0]) <= 1e-14
 
@@ -204,7 +232,7 @@ def test_qntk_basics():
 
 def test_zero_layer_supervised_kernel_is_zero():
     empty = build_random_ansatz(2, 0, RngStream(3))
-    for obs in (ZZ, Observable(((1.0, PauliString("XX")),))):
+    for obs in (ZZ, Observable.from_letters(((1.0, "XX"),), 0.0)):
         feats = np.eye(4, dtype=complex)[:3]
         kernel = supervised_kernels(empty.repeat(2), np.empty((0, 2)), feats, obs.matrix)
         assert kernel.shape == (2, 3, 3) and not np.any(kernel)
@@ -315,7 +343,7 @@ def test_supervised_multi_output_index_order():
     streams = [RngStream(16, (k,)) for k in range(3)]
     batch = sample_random_circuits(2, 5, streams)
     theta = ensemble_angles(5, streams)
-    obs = Observable(((1.0, PauliString("XI")),))
+    obs = Observable.from_letters(((1.0, "XI"),), 0.0)
     gram = supervised_kernels(batch, theta, np.eye(4, dtype=complex)[:3], obs.matrix)
     assert gram.shape == (3, 3, 3)
     for s in range(3):
@@ -364,7 +392,7 @@ def test_mixed_engine_call_matches_single_circuit_oracle(points, path, monkeypat
     rng = RngStream(31)
     own = [np.stack([haar_unitary(dim, rng.substream(100 * k + s)) for s in range(size)]) for k in (0, 2)]
     fixed = (own[0], haar_unitary(dim, rng.substream(7)), own[1], cnot_chain(n))
-    codes = np.array([[pauli_code(n, rng.substream(1000 + s)) for _ in range(layers)] for s in range(size)])
+    codes = np.array([[sample_pauli(n, rng.substream(1000 + s)) for _ in range(layers)] for s in range(size)])
     letters = [[code_letters(n, int(c)) for c in row] for row in codes]
     batch = CircuitBatch(n, size, fixed, codes)
     theta = rng.substream(2).generator.uniform(0.0, 2.0 * np.pi, size=(layers, size))

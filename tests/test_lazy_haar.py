@@ -19,7 +19,7 @@ from qntklab.circuits import chunk_grid, sample_random_circuits
 from qntklab.experiments import _LANE_TRIALS, run_experiment, validate_config
 from qntklab.haar import MomentEstimate
 from qntklab.kernels import Observable, ensemble_kernels, haar_instance_kernels, qntk, random_pauli_sum
-from qntklab.linalg import PauliString, RngStream, code_letters, zero_state
+from qntklab.linalg import RngStream, code_letters, zero_state
 from qntklab.theory import kbar_exact
 
 from helpers import fresh_stream, lazy_haar_sequential
@@ -227,7 +227,7 @@ def test_qntk_stats_instance_ensemble_runs_on_the_lazy_sampler(tmp_path):
     rows = (tmp_path / "trials" / "trial_0.csv").read_text().splitlines()[2:]
     written = [float(row.split(",")[1]) for row in rows]
     streams = [RngStream(570, (_LANE_TRIALS, 0, k)) for k in range(20)]
-    obs = Observable(((1.0, PauliString("ZZ")),))
+    obs = Observable.from_letters(((1.0, "ZZ"),), 0.0)
     assert written == haar_instance_kernels(2, 4, streams, obs.matrix, zero_state(2)).tolist()
 
 
@@ -242,7 +242,8 @@ def test_mean_kernel_matches_its_column_with_and_without_identity_generators(tmp
     assert run_experiment(cfg, tmp_path) == 0
     lines = (tmp_path / "summary.csv").read_text().splitlines()
     row = dict(zip(lines[1].split(","), map(float, lines[2].split(","))))
-    obs = Observable(tuple((c, PauliString(s)) for c, s in json.loads((tmp_path / "observable.json").read_text())["terms"]))
+    written = json.loads((tmp_path / "observable.json").read_text())
+    obs = Observable.from_letters(written["terms"], written["target"])
     factor = 1.0 if exclude_identity else 15 / 16
     assert row["kbar_exact"] == factor * kbar_exact(4, 16, obs.trace_power(2), obs.trace_power(1))
     z = (row["kernel_mean"] - row["kbar_exact"]) / (row["kernel_std"] / np.sqrt(20000))

@@ -4,12 +4,12 @@ import pytest
 from qntklab.circuits import code_tables
 from qntklab.haar import mc_second_moment
 from qntklab.linalg import (
-    PauliString,
     RngStream,
-    basis_state,
+    code_letters,
     haar_unitary,
     is_unitary,
     kahan_sum,
+    letters_code,
     matrices_per_block,
     pauli_matrix,
     sample_pauli,
@@ -17,7 +17,7 @@ from qntklab.linalg import (
     zero_state,
 )
 
-from helpers import expm_pauli, pauli_rotation, rotate_state
+from helpers import basis_state, expm_pauli, pauli_rotation, rotate_state
 
 
 def random_letters(n, gen):
@@ -51,7 +51,7 @@ def test_pauli_apply_matches_dense(n):
     gen = np.random.default_rng(n + 10)
     for _ in range(25):
         letters = random_letters(n, gen)
-        perms, phases = code_tables(n, np.array([[int("".join(str("IXYZ".index(x)) for x in letters), 4)]]))
+        perms, phases = code_tables(n, np.array([[letters_code(letters)]]))
         perm, phase = perms[0, 0], phases[0, 0]
         vec = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
         assert np.allclose(phase * vec[perm], pauli_matrix(letters) @ vec, atol=1e-13)
@@ -59,11 +59,19 @@ def test_pauli_apply_matches_dense(n):
         assert np.allclose(phase[:, None] * mat[perm], pauli_matrix(letters) @ mat, atol=1e-13)
 
 
-def test_pauli_string_rejects_bad_letters():
-    with pytest.raises(ValueError):
-        PauliString("XQ")
-    with pytest.raises(ValueError):
-        PauliString("")
+def test_letters_code_rejects_bad_letters():
+    for bad in ("XQ", "", "xz", "X Z"):
+        with pytest.raises(ValueError, match="invalid Pauli string"):
+            letters_code(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_letters_code_round_trip(n):
+    # I=0, X=1, Y=2, Z=3, qubit 0 the top digit
+    assert letters_code("X" + "I" * (n - 1)) == 4 ** (n - 1)
+    assert letters_code("I" * (n - 1) + "Z") == 3
+    for code in range(0, 4**n, max(1, 4**n // 97)):
+        assert letters_code(code_letters(n, code)) == code
 
 
 def test_rotation_at_zero_is_identity():
@@ -91,7 +99,7 @@ def test_rotation_single_z_example():
 
 def test_rotate_state_matches_matrix():
     gen = np.random.default_rng(3)
-    p = PauliString("YZ")
+    p = "YZ"
     vec = gen.standard_normal(4) + 1j * gen.standard_normal(4)
     assert np.allclose(rotate_state(p, 0.77, vec), pauli_rotation(p, 0.77) @ vec, atol=1e-13)
 
@@ -150,7 +158,7 @@ def test_sample_pauli_single_qubit_frequencies():
     counts = {"X": 0, "Y": 0, "Z": 0}
     samples = 100_000
     for _ in range(samples):
-        counts[sample_pauli(1, rng).letters] += 1
+        counts[code_letters(1, sample_pauli(1, rng))] += 1
     se = np.sqrt((1 / 3) * (2 / 3) / samples)
     for letter in "XYZ":
         assert abs(counts[letter] / samples - 1 / 3) <= 3 * se
@@ -158,14 +166,14 @@ def test_sample_pauli_single_qubit_frequencies():
 
 def test_sample_pauli_full_support_with_identity():
     rng = RngStream(23)
-    seen = {sample_pauli(2, rng, exclude_identity=False).letters for _ in range(2000)}
-    assert len(seen) == 16
+    seen = {sample_pauli(2, rng, exclude_identity=False) for _ in range(2000)}
+    assert seen == set(range(16))
 
 
 def test_sample_pauli_excludes_identity():
     rng = RngStream(29)
     for _ in range(500):
-        assert not sample_pauli(3, rng).is_identity
+        assert 0 < sample_pauli(3, rng) < 4**3
 
 
 def test_identical_addresses_are_bit_identical():

@@ -12,12 +12,11 @@ from qntklab.kernels import (
     forward_adjoint,
     gradient,
     hessian_residual,
-    meta_kernel,
     qntk,
     random_pauli_sum,
     residual_error,
 )
-from qntklab.linalg import PauliString, RngStream, zero_state
+from qntklab.linalg import RngStream, zero_state
 from qntklab.training import (
     TrainingConfig,
     TrainingDivergenceError,
@@ -27,7 +26,9 @@ from qntklab.training import (
     squared_loss,
 )
 
-ZZ = Observable(((1.0, PauliString("ZZ")),))
+from helpers import meta_kernel
+
+ZZ = Observable.from_letters(((1.0, "ZZ"),), 0.0)
 
 
 def test_zero_residual_is_a_fixed_point():
@@ -36,7 +37,7 @@ def test_zero_residual_is_a_fixed_point():
     theta0 = uniform_angles(6, rng.substream(1))
     psi = zero_state(2)
     start = residual_error(ansatz, theta0, ZZ, psi) + ZZ.target
-    tuned = Observable(ZZ.terms, target=start)
+    tuned = Observable(2, ZZ.terms, start)
     cfg = TrainingConfig(learning_rate=0.5, steps=20, init_angles=theta0)
     traj = gd_optimize(ansatz, tuned, psi, cfg)
     assert np.max(np.abs(traj.errors)) <= 1e-12
@@ -122,7 +123,7 @@ def test_supervised_reduction_matches_single_target_exactly():
         ansatz, ZZ.matrix, np.array([label]), np.eye(4, dtype=complex)[:1], theta0[None, :], 2e-3, 40, True
     )
     cfg = TrainingConfig(learning_rate=2e-3, steps=40, init_angles=theta0, record_parameters=True)
-    single = gd_optimize(ansatz, Observable(ZZ.terms, target=label), zero_state(2), cfg)
+    single = gd_optimize(ansatz, Observable(2, ZZ.terms, label), zero_state(2), cfg)
     assert diverged == {}
     assert np.array_equal(residuals[0, :, 0], single.errors)
     assert np.array_equal(kernels[0], single.kernels)
@@ -164,7 +165,7 @@ def test_supervised_loss_decays_exponentially():
 def test_divergence_detected():
     rng = RngStream(11)
     ansatz = build_random_ansatz(2, 4, rng.substream(0))
-    huge = Observable(((1e160, PauliString("ZZ")), (1e160, PauliString("XI"))))
+    huge = Observable.from_letters(((1e160, "ZZ"), (1e160, "XI")), 0.0)
     cfg = TrainingConfig(learning_rate=1.0, steps=50, init_angles=uniform_angles(4, rng.substream(1)))
     with pytest.raises(TrainingDivergenceError):
         gd_optimize(ansatz, huge, zero_state(2), cfg)
@@ -234,7 +235,7 @@ def test_batched_divergence_matches_solo_runs():
         assert np.max(np.abs(errors[k, :, 0] - reference.errors)) <= 1e-12
 
     # divergence during the run: every trial overflows, each at its own step
-    huge = Observable(((1e160, PauliString("ZZ")), (1e160, PauliString("XI"))))
+    huge = Observable.from_letters(((1e160, "ZZ"), (1e160, "XI")), 0.0)
     _, _, _, diverged = gd_batch(batch, huge.matrix, 0.0, psi, theta0, 1.0, 30)
     assert sorted(diverged) == [0, 1, 2]
     for k in range(3):
