@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -91,8 +92,9 @@ _ALLOWED_KEYS = {
 
 # Largest arrays a config may call for, counted before anything is
 # allocated: the D x D observable, the dense matrices of one circuit
-# (:func:`_dense_matrices`), and the arrays the engine keeps for one circuit
-# (:func:`_engine_entry_bytes`).
+# (:func:`_dense_matrices`), the arrays the engine keeps for one circuit
+# (:func:`_engine_entry_bytes`), and what the run keeps until it writes it
+# (:func:`_check_record_bytes`).
 DENSE_BYTES_LIMIT = 2 << 30
 
 # Matrices the dense Haar sampler holds besides the layers it has drawn: one
@@ -155,8 +157,19 @@ def _as_number(key: str, value, positive: bool = False, minimum: float | None = 
     return value
 
 
-def _check_dense_bytes(key: str, qubits: int, dense_matrices: int = 0, entry_bytes: int = 0):
-    """Refuse a config whose arrays would exceed DENSE_BYTES_LIMIT.
+# Peak bytes a run holds per CSV row until its file is written: the row's
+# values, and its text as a line, in the joined file and encoded.  tracemalloc
+# of whole runs gave 145 per qntk-stats sample and 207 per train step.
+_ROW_BYTES = 256
+
+
+def _gib(estimate: int) -> float:
+    # Python ints of any size; only the message needs a float
+    return estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
+
+
+def _check_dense_bytes(key: str, qubits: int, dense_matrices: int = 0, entry_bytes: int = 0) -> int:
+    """Refuse a config whose arrays would exceed DENSE_BYTES_LIMIT; else return their bytes.
 
     Counts the observable and ``dense_matrices`` more dense (D, D) matrices,
     plus ``entry_bytes`` per basis state.  Past a few hundred qubits the
@@ -166,14 +179,42 @@ def _check_dense_bytes(key: str, qubits: int, dense_matrices: int = 0, entry_byt
     width = min(qubits, 512)
     estimate = (1 + dense_matrices) * (16 << (2 * width)) + (entry_bytes << width)
     if estimate > DENSE_BYTES_LIMIT:
-        # Python ints of any size; only the message needs a float
-        gib = estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
         _fail(
             key,
-            f"needs about {gib:.1f} GiB (the observable, {dense_matrices} dense matrices of fixed layers "
+            f"needs about {_gib(estimate):.1f} GiB (the observable, {dense_matrices} dense matrices of fixed layers "
             "and sampling, and "
             f"the engine's arrays of one circuit at {qubits} qubits); "
             f"the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
+        )
+    return estimate
+
+
+def _check_record_bytes(cfg: dict, dense: int):
+    """Refuse a config whose run would keep, with its ``dense`` bytes of arrays, more than DENSE_BYTES_LIMIT.
+
+    What a run keeps until it writes it: ``qntk-stats`` holds a CSV row per
+    sample of one depth, and ``haar-check`` 3 floats per sample of one width.
+    ``train`` and ``train-supervised`` keep every live trial's residuals and
+    kernel trace (8 bytes per step and training point, 8 per step) and stack
+    them for the summary (24 per step), and hold one trial's rows at a time.
+    ``eigen-scan`` holds every trial's P x P kernel twice (the results and
+    the stack their mean is taken over) and a row per trial.
+    """
+    kind = cfg["kind"]
+    if kind == "qntk-stats":
+        key, records = "samples", cfg["samples"] * _ROW_BYTES
+    elif kind == "haar-check":
+        key, records = "samples", cfg["samples"] * 24
+    elif kind == "eigen-scan":
+        key, records = "trials", cfg["trials"] * (16 * max(cfg["train_sizes"]) ** 2 + _ROW_BYTES)
+    else:
+        per_trial = 32 + 8 * cfg.get("train_size", 1)
+        key, records = "steps/trials", (cfg["steps"] + 1) * (cfg["trials"] * per_trial + _ROW_BYTES)
+    if dense + records > DENSE_BYTES_LIMIT:
+        _fail(
+            key,
+            f"needs about {_gib(dense + records):.1f} GiB, {_gib(records):.1f} GiB of it for the values, "
+            f"rows and CSV text the run keeps; the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
         )
 
 
@@ -268,7 +309,7 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         # one observable serves every qubit count: it is realized on the
         # largest and truncated to its leading letters for the smaller ones
         _check_observable_width(out["observable"], max(out["qubits"]))
-        _check_dense_bytes("qubits", max(out["qubits"]), 0)
+        _check_record_bytes(out, _check_dense_bytes("qubits", max(out["qubits"])))
         return out
 
     out["qubits"] = _as_int("qubits", _require(cfg, "qubits"), minimum=1)
@@ -313,7 +354,8 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         out["exclude_identity"] = _require(cfg, "exclude_identity")
         if not isinstance(out["exclude_identity"], bool):
             _fail("exclude_identity", "must be a boolean")
-    _check_dense_bytes("qubits/layers", out["qubits"], _dense_matrices(out), _engine_entry_bytes(out))
+    dense = _check_dense_bytes("qubits/layers", out["qubits"], _dense_matrices(out), _engine_entry_bytes(out))
+    _check_record_bytes(out, dense)
     return out
 
 
@@ -451,17 +493,20 @@ def write_json(path: Path, obj):
 def _map_chunks(worker, payload: dict, grid: list[tuple[int, int]], threads: int) -> list:
     """Concatenate worker(payload, lo, hi) over the chunks of ``grid``, in index order.
 
-    The grid depends on the problem size only.  With threads > 1 each process
-    takes a contiguous run of whole chunks and receives the payload once, so
-    every chunk is computed with the same companions, and the output bytes do
-    not depend on the worker count.
+    The grid depends on the problem size only.  With more than one worker
+    each process takes a contiguous run of whole chunks and receives the
+    payload once, so every chunk is computed with the same companions, and
+    the output bytes do not depend on the worker count.  The runs are at
+    most ``threads``, the usable CPUs and the chunks.
     """
-    if threads <= 1 or len(grid) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, cpus, len(grid))
+    if workers <= 1:
         return _run_chunks(worker, payload, grid)
     # imported here, so a single-process run never loads multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    per = -(-len(grid) // threads)
+    per = -(-len(grid) // workers)
     runs = [grid[i : i + per] for i in range(0, len(grid), per)]
     results = []
     with ProcessPoolExecutor(max_workers=len(runs)) as pool:
@@ -475,10 +520,22 @@ def _run_chunks(worker, payload, grid):
     return [value for lo, hi in grid for value in worker(payload, lo, hi)]
 
 
-def _circuit_batch(cfg: dict, layers: int, streams, shared: RngStream) -> CircuitBatch:
-    """The circuits of one ensemble chunk: one per stream, or in angle mode the shared one, repeated."""
-    if cfg["resample"] == "angle":
-        return _sample_circuits(cfg, layers, [shared]).repeat(len(streams))
+def _write_trial(out_dir: Path, index: int, header: list[str], columns, digest: str):
+    """``trials/trial_<index>.csv``: row i holds i, then entry i of each column."""
+    write_csv(out_dir / "trials" / f"trial_{index}.csv", header, zip(range(len(columns[0])), *columns), digest)
+
+
+def _shared_circuit(cfg: dict, layers: int, *address: int) -> CircuitBatch | None:
+    """In ``angle`` mode the one circuit every trial shares, drawn once per run or depth; else None."""
+    if cfg["resample"] != "angle":
+        return None
+    return _sample_circuits(cfg, layers, [RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ, *address))])
+
+
+def _circuit_batch(cfg: dict, layers: int, streams, shared: CircuitBatch | None) -> CircuitBatch:
+    """The circuits of one ensemble chunk: one per stream, or the shared one, repeated."""
+    if shared is not None:
+        return shared.repeat(len(streams))
     return _sample_circuits(cfg, layers, streams)
 
 
@@ -489,6 +546,14 @@ def _sample_circuits(cfg: dict, layers: int, streams) -> CircuitBatch:
         return sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
     variant = "cphase-ladder" if family.endswith("cphase") else "cnot-su2"
     return sample_hardware_efficient(n, layers, variant, streams)
+
+
+def _fit(series: np.ndarray, cfg: dict) -> tuple[float, float, str | None]:
+    """(gamma, r_squared, None) of ``series`` under the config's ``burn_in`` and ``floor``, or NaNs and why the fit failed."""
+    try:
+        return (*fit_decay_rate(series, burn_in=cfg["burn_in"], floor=cfg["floor"]), None)
+    except ValueError as exc:
+        return float("nan"), float("nan"), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -511,49 +576,29 @@ def _qntk_chunk(payload: dict, lo: int, hi: int) -> list[float]:
     obs_matrix = payload["observable"].matrix
     if _lazy_haar(cfg):
         return list(haar_instance_kernels(n, layers, streams, obs_matrix, zero_state(n), cfg["exclude_identity"]))
-    shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ, li))
-    batch = _circuit_batch(cfg, layers, streams, shared)
+    batch = _circuit_batch(cfg, layers, streams, payload["shared"])
     return list(ensemble_kernels(batch, streams, obs_matrix, zero_state(n)))
 
 
-def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
-    digest = config_hash(cfg)
-    obs = realize_observable(cfg)
-    n = cfg["qubits"]
-    dim = 1 << n
-    tr_o = obs.trace_power(1)
-    tr_o2 = obs.trace_power(2)
-    tr_o4 = obs.trace_power(4)
+def run_qntk_stats(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tuple[int, dict]:
+    dim = 1 << cfg["qubits"]
+    tr_o, tr_o2, tr_o4 = obs.trace_power(1), obs.trace_power(2), obs.trace_power(4)
     summary_rows = []
     for li, layers in enumerate(cfg["layers"]):
-        payload = {"cfg": cfg, "layers": layers, "layer_index": li, "observable": obs}
+        shared = _shared_circuit(cfg, layers, li)
+        payload = {"cfg": cfg, "layers": layers, "layer_index": li, "observable": obs, "shared": shared}
         grid = chunk_grid(cfg["samples"], dim, layers, lazy=_lazy_haar(cfg))
-        values = _map_chunks(_qntk_chunk, payload, grid, cfg["threads"])
-        values = np.asarray(values)
+        values = np.asarray(_map_chunks(_qntk_chunk, payload, grid, cfg["threads"]))
         mean = kahan_sum(values) / len(values)
         std = float(np.sqrt(kahan_sum((values - mean) ** 2) / (len(values) - 1))) if len(values) > 1 else 0.0
         rotations, sum_tr_x2 = _theory_layers(cfg, layers)
         k_exact = kbar_exact(dim, rotations, tr_o2, tr_o, sum_tr_x2)
         k_lead = kbar_leading(dim, rotations, tr_o2)
         dk = delta_k(dim, rotations, tr_o2, tr_o4)
-        summary_rows.append(
-            [
-                layers,
-                mean,
-                std,
-                k_exact,
-                k_lead,
-                dk,
-                std / mean if mean != 0 else 0.0,
-                dk / k_exact if k_exact != 0 else 0.0,
-            ]
-        )
-        write_csv(
-            out_dir / "trials" / f"trial_{li}.csv",
-            ["sample", "kernel"],
-            [[s, v] for s, v in enumerate(values)],
-            digest,
-        )
+        ratio_empirical = std / mean if mean != 0 else 0.0
+        ratio_theory = dk / k_exact if k_exact != 0 else 0.0
+        summary_rows.append([layers, mean, std, k_exact, k_lead, dk, ratio_empirical, ratio_theory])
+        _write_trial(out_dir, li, ["sample", "kernel"], [values], digest)
     write_csv(
         out_dir / "summary.csv",
         [
@@ -569,8 +614,7 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
         summary_rows,
         digest,
     )
-    write_json(out_dir / "observable.json", obs.as_dict())
-    report = {"kind": cfg["kind"], "config_sha256": digest, "rows": len(summary_rows)}
+    report = {"rows": len(summary_rows)}
     if len(cfg["layers"]) >= 2 and all(v > 0 for v in cfg["layers"]):
         logl = np.log(cfg["layers"])
         emp = np.array([r[6] for r in summary_rows])
@@ -579,149 +623,106 @@ def run_qntk_stats(cfg: dict, out_dir: Path) -> int:
         theo = np.array([r[7] for r in summary_rows])
         if np.all(theo > 0):
             report["ratio_slope_theory"] = float(np.polyfit(logl, np.log(theo), 1)[0])
-    write_json(out_dir / "report.json", report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
 # ---------------------------------------------------------------------------
-# train
+# train and train-supervised
 
 
-def _descent_chunk(payload: dict, lo: int, hi: int) -> list[dict]:
+def _descent_chunk(payload: dict, lo: int, hi: int) -> list:
     """Gradient descent of the trials [lo, hi) of ``train`` or ``train-supervised`` in one batch.
 
     Every trial's circuit serves one row per training point (the payload's
-    ``features``), all trained toward the payload's ``target``.
+    ``features``), all trained toward the payload's ``target``.  Each trial
+    gives its divergence message, or its residuals and kernel traces.
     """
     cfg = payload["cfg"]
     streams = stream_block(cfg["seed"], [(_LANE_TRIALS, k) for k in range(lo, hi)])
-    shared = RngStream(cfg["seed"], (_LANE_SHARED_ANSATZ,))
-    batch = _circuit_batch(cfg, cfg["layers"], streams, shared)
+    batch = _circuit_batch(cfg, cfg["layers"], streams, payload["shared"])
     theta0 = ensemble_angles(batch.num_layers, streams).T
     psi0 = np.tile(payload["features"], (len(streams), 1))
     residuals, kernels, _, diverged = gd_batch(
         batch, payload["observable"].matrix, payload["target"], psi0, theta0, cfg["eta"], cfg["steps"]
     )
-    return [
-        {"diverged": True, "message": diverged[s]}
-        if s in diverged
-        else {"diverged": False, "residuals": residuals[s], "kernels": kernels[s]}
-        for s in range(len(streams))
-    ]
+    return [diverged[s] if s in diverged else (residuals[s], kernels[s]) for s in range(len(streams))]
 
 
-def run_train(cfg: dict, out_dir: Path) -> int:
-    digest = config_hash(cfg)
-    obs = realize_observable(cfg)
-    dim = 1 << cfg["qubits"]
-    features = zero_state(cfg["qubits"])[None]
-    payload = {"cfg": cfg, "observable": obs, "features": features, "target": obs.target}
-    grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
+def _descend(cfg: dict, obs: Observable, features: np.ndarray, target) -> tuple[list, dict, int]:
+    """Gradient descent of every trial, on the chunk grid.
+
+    Returns the live trials as (index, residuals, kernel traces), the
+    report's divergence fields, and EXIT_ALL_DIVERGED if no trial is live.
+    """
+    shared = _shared_circuit(cfg, cfg["layers"])
+    payload = {"cfg": cfg, "observable": obs, "features": features, "target": target, "shared": shared}
+    grid = chunk_grid(cfg["trials"], 1 << cfg["qubits"], cfg["layers"])
     results = _map_chunks(_descent_chunk, payload, grid, cfg["threads"])
-    diverged = [k for k, r in enumerate(results) if r["diverged"]]
-    live = [r for r in results if not r["diverged"]]
-    for k, res in enumerate(results):
-        if res["diverged"]:
-            continue
-        res["errors"] = res["residuals"][:, 0]
-        res["fit_error"] = None
-        try:
-            fit = fit_decay_rate(res["errors"], burn_in=cfg["burn_in"], floor=cfg["floor"])
-        except ValueError as exc:
-            fit = float("nan"), float("nan")
-            res["fit_error"] = str(exc)
-        res["gamma"], res["r_squared"] = fit
-        write_csv(
-            out_dir / "trials" / f"trial_{k}.csv",
-            ["step", "residual", "kernel"],
-            [[t, e, kv] for t, (e, kv) in enumerate(zip(res["errors"], res["kernels"]))],
-            digest,
-        )
-    rotations, sum_tr_x2 = _theory_layers(cfg, cfg["layers"])
-    rate_pred = gamma(dim, rotations, obs.trace_power(2), obs.trace_power(1), cfg["eta"], sum_tr_x2)
+    diverged = {k: r for k, r in enumerate(results) if isinstance(r, str)}
+    live = [(k, *r) for k, r in enumerate(results) if k not in diverged]
+    fields = {
+        "trials": cfg["trials"],
+        "diverged_trials": list(diverged),
+        "diverged_messages": {str(k): message for k, message in diverged.items()},
+    }
+    return live, fields, EXIT_OK if live else EXIT_ALL_DIVERGED
+
+
+def run_train(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tuple[int, dict]:
+    live, report, code = _descend(cfg, obs, zero_state(cfg["qubits"])[None], obs.target)
+    errors = [residuals[:, 0] for _, residuals, _ in live]
+    fits = [_fit(e, cfg) for e in errors]
+    for (k, _, kernels), e in zip(live, errors):
+        _write_trial(out_dir, k, ["step", "residual", "kernel"], [e, kernels], digest)
     summary_rows = []
     if live:
-        log_abs = np.stack([np.log(np.maximum(np.abs(r["errors"]), 1e-300)) for r in live])
-        abs_err = np.stack([np.abs(r["errors"]) for r in live])
-        mean_log = log_abs.mean(axis=0)
-        log_mean = np.log(abs_err.mean(axis=0))
-        for t in range(log_abs.shape[1]):
-            summary_rows.append([t, mean_log[t], log_mean[t]])
+        abs_err = np.abs(np.stack(errors))
+        mean_log = np.log(np.maximum(abs_err, 1e-300)).mean(axis=0)
+        summary_rows = zip(range(len(mean_log)), mean_log, np.log(abs_err.mean(axis=0)))
     write_csv(
         out_dir / "summary.csv",
         ["step", "mean_log_abs_residual", "log_mean_abs_residual"],
         summary_rows,
         digest,
     )
-    write_json(out_dir / "observable.json", obs.as_dict())
-    gammas = [r["gamma"] for r in live]
-    finite = [g for g in gammas if np.isfinite(g)]
-    report = {
-        "kind": cfg["kind"],
-        "config_sha256": digest,
-        "trials": cfg["trials"],
-        "diverged_trials": diverged,
-        "diverged_messages": {str(k): results[k]["message"] for k in diverged},
-        "per_trial_gamma": gammas,
-        "per_trial_r_squared": [r["r_squared"] for r in live],
-        "per_trial_fit_error": [r["fit_error"] for r in live],
-        "gamma_mean": float(np.mean(finite)) if finite else None,
-        "gamma_theory_leading": rate_pred.leading,
-        "gamma_theory_exact": rate_pred.exact,
-    }
-    write_json(out_dir / "report.json", report)
-    return EXIT_ALL_DIVERGED if len(diverged) == cfg["trials"] else EXIT_OK
+    rotations, sum_tr_x2 = _theory_layers(cfg, cfg["layers"])
+    dim = 1 << cfg["qubits"]
+    rate_pred = gamma(dim, rotations, obs.trace_power(2), obs.trace_power(1), cfg["eta"], sum_tr_x2)
+    finite = [g for g, _, _ in fits if np.isfinite(g)]
+    report.update(
+        per_trial_gamma=[g for g, _, _ in fits],
+        per_trial_r_squared=[r2 for _, r2, _ in fits],
+        per_trial_fit_error=[reason for _, _, reason in fits],
+        gamma_mean=float(np.mean(finite)) if finite else None,
+        gamma_theory_leading=rate_pred.leading,
+        gamma_theory_exact=rate_pred.exact,
+    )
+    return code, report
 
 
-# ---------------------------------------------------------------------------
-# train-supervised
-
-
-def run_train_supervised(cfg: dict, out_dir: Path) -> int:
-    digest = config_hash(cfg)
-    obs = realize_observable(cfg)
+def run_train_supervised(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tuple[int, dict]:
     label_rng = RngStream(cfg["seed"], (_LANE_LABELS,))
     labels = 2.0 * label_rng.generator.integers(0, 2, size=cfg["train_size"]) - 1.0
-    dim = 1 << cfg["qubits"]
     # basis features |d>, d < train_size, are orthogonal (train_size <= D is validated)
-    features = np.eye(dim, dtype=complex)[: cfg["train_size"]]
-    payload = {"cfg": cfg, "observable": obs, "features": features, "target": labels}
-    grid = chunk_grid(cfg["trials"], dim, cfg["layers"])
-    results = _map_chunks(_descent_chunk, payload, grid, cfg["threads"])
-    diverged = [k for k, r in enumerate(results) if r["diverged"]]
-    live = [r for r in results if not r["diverged"]]
-    for k, res in enumerate(results):
-        if res["diverged"]:
-            continue
-        res["losses"] = squared_loss(res["residuals"])
-        write_csv(
-            out_dir / "trials" / f"trial_{k}.csv",
-            ["step", "loss", "kernel_trace"],
-            [[t, lv, kv] for t, (lv, kv) in enumerate(zip(res["losses"], res["kernels"]))],
-            digest,
-        )
-    summary_rows = []
-    if live:
-        losses = np.stack([r["losses"] for r in live])
-        mean_loss = losses.mean(axis=0)
-        for t in range(losses.shape[1]):
-            summary_rows.append([t, mean_loss[t], float(np.log(max(mean_loss[t], 1e-300)))])
+    features = np.eye(1 << cfg["qubits"], dtype=complex)[: cfg["train_size"]]
+    live, report, code = _descend(cfg, obs, features, labels)
+    losses = [squared_loss(residuals) for _, residuals, _ in live]
+    for (k, _, kernels), loss in zip(live, losses):
+        _write_trial(out_dir, k, ["step", "loss", "kernel_trace"], [loss, kernels], digest)
+    mean_loss = np.stack(losses).mean(axis=0) if live else np.empty(0)
+    log_mean_loss = np.log(np.maximum(mean_loss, 1e-300))
     write_csv(
-        out_dir / "summary.csv", ["step", "mean_loss", "log_mean_loss"], summary_rows, digest
+        out_dir / "summary.csv",
+        ["step", "mean_loss", "log_mean_loss"],
+        zip(range(len(mean_loss)), mean_loss, log_mean_loss),
+        digest,
     )
-    write_json(out_dir / "observable.json", obs.as_dict())
-    report = {
-        "kind": cfg["kind"],
-        "config_sha256": digest,
-        "trials": cfg["trials"],
-        "diverged_trials": diverged,
-        "diverged_messages": {str(k): results[k]["message"] for k in diverged},
-        "labels": labels.tolist(),
-        "final_mean_loss": summary_rows[-1][1] if summary_rows else None,
-        "initial_mean_loss": summary_rows[0][1] if summary_rows else None,
-    }
-    write_json(out_dir / "report.json", report)
-    return EXIT_ALL_DIVERGED if len(diverged) == cfg["trials"] else EXIT_OK
+    report.update(
+        labels=labels.tolist(),
+        final_mean_loss=mean_loss[-1] if live else None,
+        initial_mean_loss=mean_loss[0] if live else None,
+    )
+    return code, report
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +743,7 @@ def _eigen_chunk(payload: dict, lo: int, hi: int) -> list[tuple[float, np.ndarra
     return list(zip(np.linalg.eigvalsh(kernels)[:, 0], kernels))
 
 
-def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
-    digest = config_hash(cfg)
-    obs = realize_observable(cfg)
+def run_eigen_scan(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tuple[int, dict]:
     dim = 1 << cfg["qubits"]
     tr_o = obs.trace_power(1)
     tr_o2 = obs.trace_power(2)
@@ -757,21 +756,8 @@ def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
         mean_kernel = np.mean([r[1] for r in results], axis=0)
         spectrum = kernel_eigenvalues(dim, cfg["layers"], size, tr_o2, tr_o, _theory_layers(cfg, cfg["layers"])[1])
         lowest_of_mean = float(np.linalg.eigvalsh(mean_kernel)[0])
-        summary_rows.append(
-            [
-                size,
-                lowest_of_mean,
-                float(lowest_each.mean()),
-                spectrum.lowest,
-                spectrum.bulk,
-            ]
-        )
-        write_csv(
-            out_dir / "trials" / f"trial_{si}.csv",
-            ["trial", "lowest_eigenvalue"],
-            [[k, v] for k, v in enumerate(lowest_each)],
-            digest,
-        )
+        summary_rows.append([size, lowest_of_mean, float(lowest_each.mean()), spectrum.lowest, spectrum.bulk])
+        _write_trial(out_dir, si, ["trial", "lowest_eigenvalue"], [lowest_each], digest)
     write_csv(
         out_dir / "summary.csv",
         [
@@ -784,21 +770,14 @@ def run_eigen_scan(cfg: dict, out_dir: Path) -> int:
         summary_rows,
         digest,
     )
-    write_json(out_dir / "observable.json", obs.as_dict())
-    write_json(
-        out_dir / "report.json",
-        {"kind": cfg["kind"], "config_sha256": digest, "rows": len(summary_rows)},
-    )
-    return EXIT_OK
+    return EXIT_OK, {"rows": len(summary_rows)}
 
 
 # ---------------------------------------------------------------------------
 # haar-check
 
 
-def run_haar_check(cfg: dict, out_dir: Path) -> int:
-    digest = config_hash(cfg)
-    obs = realize_observable(cfg)
+def run_haar_check(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tuple[int, dict]:
     checks = []
     for qi, n in enumerate(cfg["qubits"]):
         dim = 1 << n
@@ -812,25 +791,15 @@ def run_haar_check(cfg: dict, out_dir: Path) -> int:
         x_mat = pauli_matrix("Z" + "I" * (n - 1))
         comm = mc_commutator_trace(dim, x_mat, obs_mat, cfg["samples"], rng.substream(1))
         checks.append({"name": f"commutator-trace-D{dim}", **comm.as_dict()})
-    all_pass = all(c["pass"] for c in checks)
-    write_json(
-        out_dir / "report.json",
-        {
-            "kind": cfg["kind"],
-            "config_sha256": digest,
-            "samples": cfg["samples"],
-            "checks": checks,
-            "all_pass": all_pass,
-        },
-    )
     write_csv(
         out_dir / "summary.csv",
         ["name", "mean", "std_error", "target", "z_score", "pass"],
         [[c["name"], c["mean"], c["std_error"], c["target"], c["z_score"], c["pass"]] for c in checks],
         digest,
     )
-    write_json(out_dir / "observable.json", obs.as_dict())
-    return EXIT_OK if all_pass else EXIT_CHECK_FAILED
+    all_pass = all(c["pass"] for c in checks)
+    report = {"samples": cfg["samples"], "checks": checks, "all_pass": all_pass}
+    return EXIT_OK if all_pass else EXIT_CHECK_FAILED, report
 
 
 def _restrict_observable(obs: Observable, n: int) -> Observable:
@@ -843,8 +812,7 @@ def _restrict_observable(obs: Observable, n: int) -> Observable:
 # decay-fit
 
 
-def run_decay_fit(cfg: dict, out_dir: Path) -> int:
-    digest = config_hash(cfg)
+def run_decay_fit(cfg: dict, obs: None, out_dir: Path, digest: str) -> tuple[int, dict]:
     source = Path(cfg["input"])
     if source.is_dir():
         files = sorted(source.glob("trial_*.csv"))
@@ -857,27 +825,12 @@ def run_decay_fit(cfg: dict, out_dir: Path) -> int:
     rows = []
     fits = []
     for path in files:
-        series = _read_residual_column(path)
-        try:
-            rate, r2 = fit_decay_rate(series, burn_in=cfg["burn_in"], floor=cfg["floor"])
-        except ValueError as exc:
-            rows.append([path.name, float("nan"), float("nan")])
-            fits.append({"file": path.name, "error": str(exc)})
-            continue
+        rate, r2, reason = _fit(_read_residual_column(path), cfg)
         rows.append([path.name, rate, r2])
-        fits.append({"file": path.name, "gamma": rate, "r_squared": r2})
+        fits.append({"file": path.name, "gamma": rate, "r_squared": r2} if reason is None else {"file": path.name, "error": reason})
     write_csv(out_dir / "summary.csv", ["file", "gamma", "r_squared"], rows, digest)
     finite = [f["gamma"] for f in fits if "gamma" in f]
-    write_json(
-        out_dir / "report.json",
-        {
-            "kind": cfg["kind"],
-            "config_sha256": digest,
-            "fits": fits,
-            "gamma_mean": float(np.mean(finite)) if finite else None,
-        },
-    )
-    return EXIT_OK
+    return EXIT_OK, {"fits": fits, "gamma_mean": float(np.mean(finite)) if finite else None}
 
 
 def _read_residual_column(path: Path) -> np.ndarray:
@@ -909,21 +862,35 @@ def _read_residual_column(path: Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dispatch
 
+_RUNNERS = {
+    "qntk-stats": run_qntk_stats,
+    "train": run_train,
+    "train-supervised": run_train_supervised,
+    "eigen-scan": run_eigen_scan,
+    "haar-check": run_haar_check,
+    "decay-fit": run_decay_fit,
+}
+
 
 def run_experiment(cfg: dict, out_dir: str | Path) -> int:
-    """Run a validated config, writing outputs under ``out_dir``."""
+    """Run a validated config, writing outputs under ``out_dir``.
+
+    Writes the files every kind shares: ``config.echo.json``, then, after the
+    kind's runner, ``observable.json`` (every kind with an observable) and
+    ``report.json``, the kind and config hash joined by the runner's fields.
+    ``run_<kind>(cfg, obs, out_dir, digest)`` writes ``summary.csv`` and any
+    trial CSVs and returns ``(exit_code, report_fields)``.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "config.echo.json", experiment_identity(cfg))
-    runner = {
-        "qntk-stats": run_qntk_stats,
-        "train": run_train,
-        "train-supervised": run_train_supervised,
-        "eigen-scan": run_eigen_scan,
-        "haar-check": run_haar_check,
-        "decay-fit": run_decay_fit,
-    }[cfg["kind"]]
-    return runner(cfg, out_dir)
+    digest = config_hash(cfg)
+    obs = realize_observable(cfg) if "observable" in cfg else None
+    code, fields = _RUNNERS[cfg["kind"]](cfg, obs, out_dir, digest)
+    if obs is not None:
+        write_json(out_dir / "observable.json", obs.as_dict())
+    write_json(out_dir / "report.json", {"kind": cfg["kind"], "config_sha256": digest, **fields})
+    return code
 
 
 __all__ = [

@@ -142,7 +142,12 @@ class Observable:
         if "_matrix" not in cache:
             acc = np.zeros((self.dim, self.dim), dtype=complex)
             for coef, code in self.terms:
-                acc += coef * pauli_matrix(code_letters(self.num_qubits, code))
+                # scaled in place, and freed before the next kron chain: the
+                # build holds acc, one term and that term's last factor
+                term = pauli_matrix(code_letters(self.num_qubits, code))
+                term *= coef
+                acc += term
+                del term
             acc.setflags(write=False)
             cache["_matrix"] = acc
         return cache["_matrix"]

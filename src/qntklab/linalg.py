@@ -222,8 +222,9 @@ def pauli_matrix(letters: str) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a Pauli string's letters (Hermitian, unitary).
 
     Qubit 0 is the leftmost letter and the most significant index bit.
+    The matrix is a new array, which the caller may change.
     """
-    out = PAULI_1Q[letters[0]]
+    out = PAULI_1Q[letters[0]].copy()
     for letter in letters[1:]:
         out = np.kron(out, PAULI_1Q[letter])
     return out

@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from qntklab.experiments import (
     validate_config,
 )
 from qntklab.circuits import build_random_ansatz, chunk_grid, samples_per_chunk, uniform_angles
-from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _dense_matrices, _descent_chunk, _eigen_chunk
-from qntklab.experiments import _engine_entry_bytes, _qntk_chunk, _restrict_observable
+from qntklab.experiments import _ALLOWED_KEYS, _LANE_TRIALS, _dense_matrices, _descent_chunk, _eigen_chunk, _map_chunks
+from qntklab.experiments import _engine_entry_bytes, _qntk_chunk, _restrict_observable, _shared_circuit
 from qntklab.kernels import Observable, supervised_kernels
 from qntklab.linalg import RngStream
 from qntklab.theory import delta_k, kbar_exact, kernel_eigenvalues
@@ -414,8 +415,8 @@ def test_haar_check_failure_exit_code(tmp_path, monkeypatch):
     assert run_experiment(cfg, tmp_path) == EXIT_CHECK_FAILED
 
 
-def test_decay_fit_on_synthetic_trajectories(tmp_path):
-    trials = tmp_path / "trials"
+def write_decay_trials(trials: Path) -> Path:
+    """Two trial CSVs under ``trials``: residuals exp(-rate t), t < 120, at rates 0.01 and 0.02."""
     trials.mkdir()
     t = np.arange(120)
     for k, rate in enumerate((0.01, 0.02)):
@@ -423,6 +424,11 @@ def test_decay_fit_on_synthetic_trajectories(tmp_path):
         for step in t:
             lines.append(f"{step},{float(np.exp(-rate * step))!r},0.0")
         (trials / f"trial_{k}.csv").write_text("\n".join(lines) + "\n")
+    return trials
+
+
+def test_decay_fit_on_synthetic_trajectories(tmp_path):
+    trials = write_decay_trials(tmp_path / "trials")
     cfg = validate_config({"kind": "decay-fit", "input": str(trials), "seed": 0})
     out = tmp_path / "out"
     assert run_experiment(cfg, out) == EXIT_OK
@@ -513,6 +519,44 @@ def test_chunked_outputs_byte_identical_across_threads(tmp_path):
             assert run_experiment(dict(cfg, threads=threads), out) == EXIT_OK
             trees.append(read_tree(out))
         assert trees[0] == trees[1] == trees[2]
+
+
+def test_process_pool_is_capped_at_the_usable_cpus(monkeypatch):
+    # a fake pool records its size and runs each call inline, so no process
+    # starts even at threads = 10**6; each worker still gets one run of chunks
+    import concurrent.futures
+
+    pools, submits = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submits.append(args[2])
+            result = fn(*args)
+            return SimpleNamespace(result=lambda: result)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool, raising=False)
+
+    def worker(payload, lo, hi):
+        return [payload * k for k in range(lo, hi)]
+
+    grid = [(k, k + 1) for k in range(7)]
+    for cpus, chunks, workers in ((3, 7, 3), (64, 2, 2), (1, 7, None)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        pools.clear()
+        submits.clear()
+        assert _map_chunks(worker, 10, grid[:chunks], 10**6) == [10 * k for k in range(chunks)]
+        assert pools == ([workers] if workers else [])
+        assert len(submits) == (workers or 0)
+        assert [c for run in submits for c in run] == (grid[:chunks] if workers else [])
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -642,6 +686,39 @@ def test_engine_row_arrays_count_toward_the_memory_limit():
         validate_config(scan_cfg(qubits=12, layers=4, train_sizes=[2, 4096]))
 
 
+_RECORD_FAULTS = {
+    "qntk-samples": (qntk_cfg(samples=10**12), "samples"),
+    "haar-samples": (dict(_HAAR, samples=10**12), "samples"),
+    "train-steps": (train_cfg(steps=10**12, trials=1), "steps/trials"),
+    "train-both": (train_cfg(steps=10**12, trials=10**6), "steps/trials"),
+    "train-trials": (train_cfg(steps=10, trials=10**9), "steps/trials"),
+    "supervised-both": (supervised_cfg(steps=10**12, trials=10**6), "steps/trials"),
+    # 10**4 trials of 1024 x 1024 kernels, held twice: 160 GiB
+    "scan-kernels": (scan_cfg(qubits=10, layers=1, trials=10**4, train_sizes=[2, 1024]), "trials"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECORD_FAULTS))
+def test_run_long_records_count_toward_the_memory_limit(tmp_path, capsys, case):
+    # validation only: each config is refused before the CLI would run it
+    raw, key = _RECORD_FAULTS[case]
+    with pytest.raises(ConfigError, match=re.escape(f"config key '{key}'")):
+        validate_config(raw)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([raw["kind"], "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err and "GiB" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_long_records_below_the_limit_are_accepted():
+    assert validate_config(qntk_cfg(samples=10**6))
+    assert validate_config(dict(_HAAR, samples=10**7))
+    assert validate_config(train_cfg(steps=10**4, trials=10**3))
+    assert validate_config(scan_cfg(qubits=10, layers=1, trials=10, train_sizes=[2, 1024]))
+
+
 @pytest.mark.parametrize(
     "ansatz, layers",
     [("hardware-efficient-cnot", 16), ("random-haar", 480)],
@@ -654,7 +731,7 @@ def test_chunk_peak_memory_stays_within_the_guard_estimate(ansatz, layers):
     cfg = validate_config(qntk_cfg(qubits=10, layers=[layers], samples=1, ansatz=ansatz, observable=_RANDOM))
     obs = realize_observable(cfg)
     obs.matrix
-    payload = {"cfg": cfg, "observable": obs, "layer_index": 0, "layers": layers}
+    payload = {"cfg": cfg, "observable": obs, "layer_index": 0, "layers": layers, "shared": None}
     tracemalloc.start()
     try:
         _qntk_chunk(payload, 0, 1)
@@ -676,7 +753,8 @@ _DENSE_CHUNKS = {
 def test_dense_sampler_peak_memory_stays_within_the_guard_estimate(kind):
     # one 8-qubit circuit of 16 Haar layers on the dense sampler (one matrix
     # at a time at D >= 128) and its engine call; the observable's matrix is
-    # built first and counted as the guard counts it
+    # built first and counted as the guard counts it.  In angle mode the run
+    # draws the shared circuit once, outside the chunk: it is traced here too
     raw, chunk = _DENSE_CHUNKS[kind]
     cfg = validate_config(raw())
     obs = realize_observable(cfg)
@@ -694,6 +772,7 @@ def test_dense_sampler_peak_memory_stays_within_the_guard_estimate(kind):
     }
     tracemalloc.start()
     try:
+        payload["shared"] = _shared_circuit(cfg, payload["layers"], 0) if "resample" in cfg else None
         chunk(payload, 0, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -856,3 +935,45 @@ def test_identity_generators_scale_every_exact_prediction(tmp_path):
     scan = _summary(outs["scan"])
     assert scan["bulk_theory"] == [pytest.approx(15 / 16 * spectrum.bulk, rel=1e-15)]
     assert scan["lowest_theory"] == [pytest.approx(15 / 16 * spectrum.lowest, rel=1e-15)]
+
+
+_DIVERGING = {"kind": "pauli-sum", "terms": [[1e160, "ZZ"], [1e160, "XI"]]}
+# per run: the config, its exit code, and the files it writes besides
+# config.echo.json and report.json, which every kind writes
+_OUTPUTS = {
+    "qntk-stats": (qntk_cfg(samples=5), EXIT_OK, {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_1.csv"}),
+    "train": (train_cfg(steps=3), EXIT_OK, {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_1.csv"}),
+    # trials 1, 2, 3, 5, 6 and 7 diverge; a trial keeps its index in its file name
+    "train-partly-diverged": (
+        train_cfg(layers=4, eta=3e307, steps=20, trials=8, seed=7),
+        EXIT_OK,
+        {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_4.csv"},
+    ),
+    "train-all-diverged": (train_cfg(eta=1.0, steps=60, observable=_DIVERGING), EXIT_ALL_DIVERGED, {"observable.json", "summary.csv"}),
+    "train-supervised": (
+        supervised_cfg(qubits=2, layers=4, steps=3, trials=2, train_size=2),
+        EXIT_OK,
+        {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_1.csv"},
+    ),
+    "eigen-scan": (
+        scan_cfg(qubits=2, layers=4, trials=2, train_sizes=[2, 3]),
+        EXIT_OK,
+        {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_1.csv"},
+    ),
+    "haar-check": (dict(_HAAR, qubits=[1, 2], samples=400), EXIT_OK, {"observable.json", "summary.csv"}),
+    "decay-fit": ({"kind": "decay-fit", "input": "trials", "seed": 0}, EXIT_OK, {"summary.csv"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTPUTS))
+def test_each_kind_writes_its_files_under_one_report_header(tmp_path, case):
+    raw, code, files = _OUTPUTS[case]
+    if raw["kind"] == "decay-fit":
+        raw = dict(raw, input=str(write_decay_trials(tmp_path / "trials")))
+    cfg = validate_config(raw)
+    out = tmp_path / "out"
+    assert run_experiment(cfg, out) == code
+    assert set(read_tree(out)) == files | {"config.echo.json", "report.json"}
+    report = json.loads((out / "report.json").read_text())
+    assert report["kind"] == cfg["kind"]
+    assert report["config_sha256"] == config_hash(cfg)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,32 @@ def test_observable_dense_matches_term_sum():
     expected = sum(c * pauli_matrix(code_letters(3, p)) for c, p in obs.terms)
     assert np.max(np.abs(obs.matrix - expected)) <= 1e-12
     assert np.max(np.abs(obs.matrix - obs.matrix.conj().T)) <= 1e-12
+
+
+def test_observable_build_holds_the_matrix_one_term_and_its_last_factor():
+    # each term is scaled in place and freed before the next kron chain, so a
+    # 10-term build at n = 9 peaks near D^2 + D^2 + D^2 / 4 complex entries (3 D^2
+    # when the scaled term was a second temporary)
+    obs = random_pauli_sum(9, 10, RngStream(4))
+    expected = np.zeros((512, 512), dtype=complex)
+    for coef, code in obs.terms:
+        expected += coef * pauli_matrix(code_letters(9, code))
+    tracemalloc.start()
+    try:
+        matrix = obs.matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(matrix, expected)
+    assert peak <= 2.5 * matrix.nbytes
+
+
+def test_one_qubit_observable_leaves_the_pauli_constants_alone():
+    # at n = 1 the kron chain is a single letter: its matrix must be a copy
+    before = pauli_matrix("X").copy()
+    assert np.array_equal(Observable.from_letters(((0.5, "X"),), 0.0).matrix, 0.5 * before)
+    assert np.array_equal(pauli_matrix("X"), before)
+    assert pauli_matrix("X") is not pauli_matrix("X")
 
 
 def test_observable_trace_powers():
