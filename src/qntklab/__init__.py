@@ -20,7 +20,6 @@ from .kernels import (
 from .linalg import (
     RngStream,
     haar_unitary,
-    pauli_matrix,
     sample_pauli,
     zero_state,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "mc_kbar",
     "mc_second_moment",
     "model_output",
-    "pauli_matrix",
     "qntk",
     "random_pauli_sum",
     "residual_error",

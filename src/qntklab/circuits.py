@@ -207,29 +207,70 @@ class AnsatzSpec(CircuitBatch):
         super().__init__(num_qubits, 1, tuple(fixed_unitaries), np.array([codes], dtype=np.int64))
 
 
+# i^k for k = 0..3, then 1 and -i with a negative zero (the only phases whose zero sign varies)
+_PHASES = np.array([1, 1j, -1, complex(0.0, -1.0), complex(1.0, -0.0), 1j, -1, complex(-0.0, -1.0)])
+
+
+def _prefix_parity(bits: np.ndarray, n: int, work: np.ndarray) -> np.ndarray:
+    """Bit i of ``bits`` becomes the XOR of its bits i..n-1, in place (``work`` is scratch)."""
+    shift = 1
+    while shift < n:
+        bits ^= np.right_shift(bits, shift, out=work)
+        shift <<= 1
+    return bits
+
+
 def code_tables(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Permutation and phase tables (L, S, D) of generator codes (S, L), as in :class:`CircuitBatch`.
 
-    A Pauli string maps |b> to coef(b) |b ^ flip>, so (P v)[j] =
-    phase[j] v[perm[j]] with perm = idx ^ flip and phase = coef[perm].  The
-    letter on qubit q, bit n-1-q of the index, sets that bit of flip for X
-    and Y, and multiplies coef by i (1 - 2 b) for Y and by (1 - 2 b) for Z,
-    qubit by qubit.  All codes are handled at once, so the tables are the
-    only arrays of their size, and nothing is kept between calls.
+    P = i^|x & z| X^x Z^z (x the X and Y letters, z the Y and Z letters,
+    qubit q on bit n-1-q) maps |b> to i^|x & z| (-1)^|z & b| |b ^ x>, so
+    (P v)[j] = phase[j] v[perm[j]] with perm = idx ^ x and
+    phase = i^(|x & z| + 2 parity(z & perm)).  The masks come from the codes
+    on the small (L, S) arrays; on the tables every pass is an int32 one.
+    The phases keep the signed zeros of multiplying by i (1 - 2 b) per Y and
+    by (1 - 2 b) per Z, qubit by qubit: 1 and -i carry a -0 when that product
+    last entered {1, -i} from {-1, i}, not through a Z on a 0 bit or at the start.
     """
-    codes = np.asarray(codes).T
+    codes = np.ascontiguousarray(np.asarray(codes, dtype=np.int64).T)
+    low = (4**n - 1) // 3  # the low bit of every digit
+    masks = np.empty((3,) + codes.shape, dtype=np.int64)
+    z = np.bitwise_and(codes >> 1, low, out=masks[1])
+    np.bitwise_and(codes ^ z, low, out=masks[0])
+    np.bitwise_and(masks[0], z, out=masks[2])
+    shift = 1
+    while shift < n:  # gather bit 2k of each mask onto bit k
+        masks |= masks >> shift
+        masks &= sum(((1 << 2 * shift) - 1) << (4 * shift * i) for i in range(16 // shift))
+        shift <<= 1
+    flip, zmask, ymask = masks
+    # bits 0 and 1 of the count of Y letters in qubits 0..q: with even Z and Y
+    # bits so far the product is i^count, in {1, -i} for counts 0 and 3 mod 4
+    odd = _prefix_parity(ymask.copy(), n, np.empty_like(ymask))
+    twos = _prefix_parity(ymask & (odd >> 1), n, np.empty_like(ymask))
     idx = np.arange(1 << n)
-    flip = np.zeros(codes.shape, dtype=idx.dtype)
-    coef = np.ones(codes.shape + idx.shape, dtype=complex)
-    for q in range(n):
-        bit = n - 1 - q
-        letter = (codes >> (2 * bit)) & 3
-        sign = 1 - 2 * ((idx >> bit) & 1)
-        np.bitwise_or(flip, 1 << bit, out=flip, where=(letter == 1) | (letter == 2))
-        np.multiply(coef, 1j * sign, out=coef, where=(letter == 2)[..., None])
-        np.multiply(coef, sign, out=coef, where=(letter == 3)[..., None])
     perms = idx ^ flip[..., None]
-    return perms, np.take_along_axis(coef, perms, axis=-1)
+    bits, work, last = (np.empty(perms.shape, dtype=np.int32) for _ in range(3))
+    _prefix_parity(np.bitwise_and(perms, zmask[..., None], out=bits), n, work)
+    power = np.bitwise_and(bits, 1, out=work).astype(np.int8)
+    power *= 2
+    power += ((odd & 1) | (twos & 1) << 1).astype(np.int8)[..., None]
+    power &= 3
+    # bit n-1-q of bits: the product after qubit q is in {1, -i}; of work: it entered {1, -i} there
+    bits ^= (~(odd ^ twos) & ((1 << n) - 1)).astype(np.int32)[..., None]
+    np.right_shift(bits, 1, out=work)
+    work |= 1 << (n - 1)
+    np.invert(work, out=work)
+    work &= bits
+    # a reset is a Z on a 0 bit inside; the last event was an entry if one lies at or below the lowest reset
+    bits &= (zmask & ~ymask).astype(np.int32)[..., None]
+    bits &= ~idx.astype(np.int32)
+    np.subtract(bits, 1, out=last)
+    last ^= bits
+    last &= work
+    np.add(power, 4, out=power, where=last != 0)
+    del bits, work, last
+    return perms, _PHASES[power]
 
 
 def samples_per_chunk(dim: int, layers: int, lazy: bool = False) -> int:

@@ -29,7 +29,7 @@ from .circuits import (
 from .haar import mc_commutator_trace, mc_second_moment
 from .kernels import LAZY_ENTRY_BYTES, Observable, ensemble_kernels, haar_instance_kernels, random_pauli_sum
 from .kernels import supervised_kernels
-from .linalg import STACK_BYTES, RngStream, kahan_sum, letters_code, pauli_matrix, stream_block, zero_state
+from .linalg import STACK_BYTES, RngStream, kahan_sum, letters_code, stream_block, zero_state
 from .theory import delta_k, gamma, kbar_exact, kbar_leading, kernel_eigenvalues
 from .training import fit_decay_rate, gd_batch, squared_loss
 
@@ -91,8 +91,8 @@ _ALLOWED_KEYS = {
 }
 
 # Largest arrays a config may call for, counted before anything is
-# allocated: the D x D observable, the dense matrices of one circuit
-# (:func:`_dense_matrices`), the arrays the engine keeps for one circuit
+# allocated: the dense matrices of one circuit (:func:`_dense_matrices`), the
+# observable's tables and the arrays the engine keeps for one circuit
 # (:func:`_engine_entry_bytes`), and what the run keeps until it writes it
 # (:func:`_check_record_bytes`).
 DENSE_BYTES_LIMIT = 2 << 30
@@ -101,6 +101,9 @@ DENSE_BYTES_LIMIT = 2 << 30
 # matrix's Ginibre parts, the QR's working copy, Q and R (at D >= 128 it draws
 # one matrix at a time; the unitarity check of the stack holds fewer).
 _SAMPLER_MATRICES = 4
+
+# Dense matrices haar-check holds: the observable, its traceless copy and Z x I x ... x I
+_HAAR_CHECK_MATRICES = 3
 
 _DEFAULTS = {
     "threads": 1,
@@ -164,25 +167,26 @@ _ROW_BYTES = 256
 
 
 def _gib(estimate: int) -> float:
-    # Python ints of any size; only the message needs a float
-    return estimate / 2**30 if estimate.bit_length() < 1000 else float("inf")
+    # Python ints of any size; only the message needs a float, and past 2^200 bytes it reads inf
+    return estimate / 2**30 if estimate.bit_length() <= 200 else float("inf")
 
 
 def _check_dense_bytes(key: str, qubits: int, dense_matrices: int = 0, entry_bytes: int = 0) -> int:
     """Refuse a config whose arrays would exceed DENSE_BYTES_LIMIT; else return their bytes.
 
-    Counts the observable and ``dense_matrices`` more dense (D, D) matrices,
-    plus ``entry_bytes`` per basis state.  Past a few hundred qubits the
-    estimate is infinite in the message anyway, so the width is capped there
-    to keep the integer shifts small.
+    Counts ``dense_matrices`` dense (D, D) matrices, plus ``entry_bytes`` per
+    basis state: the observable's tables and the engine's arrays, which grow
+    with D, not D^2.  Past a few hundred qubits the estimate is infinite in
+    the message anyway, so the width is capped there to keep the integer
+    shifts small.
     """
     width = min(qubits, 512)
-    estimate = (1 + dense_matrices) * (16 << (2 * width)) + (entry_bytes << width)
+    estimate = dense_matrices * (16 << (2 * width)) + (entry_bytes << width)
     if estimate > DENSE_BYTES_LIMIT:
         _fail(
             key,
-            f"needs about {_gib(estimate):.1f} GiB (the observable, {dense_matrices} dense matrices of fixed layers "
-            "and sampling, and "
+            f"needs about {_gib(estimate):.1f} GiB ({dense_matrices} dense matrices of fixed layers, sampling "
+            "or haar-check's operators, and the observable's tables and "
             f"the engine's arrays of one circuit at {qubits} qubits); "
             f"the limit is {DENSE_BYTES_LIMIT / 2**30:g} GiB",
         )
@@ -308,14 +312,16 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
         )
         # one observable serves every qubit count: it is realized on the
         # largest and truncated to its leading letters for the smaller ones
-        _check_observable_width(out["observable"], max(out["qubits"]))
-        _check_record_bytes(out, _check_dense_bytes("qubits", max(out["qubits"])))
+        n = max(out["qubits"])
+        _check_observable_width(out["observable"], n)
+        dense = _check_dense_bytes("qubits", n, _HAAR_CHECK_MATRICES, _observable_entry_bytes(out["observable"], n, 0))
+        _check_record_bytes(out, dense)
         return out
 
     out["qubits"] = _as_int("qubits", _require(cfg, "qubits"), minimum=1)
-    # the observable alone, before any later check shifts by the width
-    _check_dense_bytes("qubits", out["qubits"])
     out["observable"] = _validate_observable(_require(cfg, "observable"))
+    # the observable's tables alone, before any later check shifts by the width
+    _check_dense_bytes("qubits", out["qubits"], entry_bytes=_observable_entry_bytes(out["observable"], out["qubits"], 0))
     _check_observable_width(out["observable"], out["qubits"])
 
     if kind == "qntk-stats":
@@ -360,7 +366,7 @@ def validate_config(raw: dict, kind: str | None = None) -> dict:
 
 
 def _dense_matrices(cfg: dict) -> int:
-    """Dense (D, D) matrices one circuit of a validated config needs, the observable aside.
+    """Dense (D, D) matrices one circuit of a validated config needs.
 
     A random-Haar circuit on the dense sampler holds its L Haar layers and
     the sampler's temporaries; lazily drawn Haar layers need none, and the
@@ -395,13 +401,25 @@ def _engine_entry_bytes(cfg: dict) -> int:
     layers keep their normals (32 per layer), one block of layers that fits
     ``STACK_BYTES`` and one layer more, and 64 bytes per layer of codes and
     angles.  The fused path runs only on chunks whose gates fit ``STACK_BYTES``.
+    Both apply the observable from its tables (:func:`_observable_entry_bytes`).
     """
-    layers = _rotation_layers(cfg)
+    layers, n = _rotation_layers(cfg), cfg["qubits"]
     if _lazy_haar(cfg):
-        block = max(1, STACK_BYTES // (LAZY_ENTRY_BYTES << cfg["qubits"]))
-        return 32 * layers + LAZY_ENTRY_BYTES * (min(layers, block) + 1) + (64 * layers >> cfg["qubits"])
+        block = max(1, STACK_BYTES // (LAZY_ENTRY_BYTES << n))
+        lazy = 32 * layers + LAZY_ENTRY_BYTES * (min(layers, block) + 1) + (64 * layers >> n)
+        return lazy + _observable_entry_bytes(cfg["observable"], n, 1)
     rows = cfg.get("train_size", max(cfg.get("train_sizes", [1])))
-    return layers * (16 * rows + 24) + 64 * 16 * rows
+    return layers * (16 * rows + 24) + 64 * 16 * rows + _observable_entry_bytes(cfg["observable"], n, rows)
+
+
+def _observable_entry_bytes(spec: dict, qubits: int, rows: int) -> int:
+    """Bytes per basis state of an observable's tables (an index and a weight per group) and one apply over ``rows`` rows.
+
+    There are G <= min(T, D) groups, T the number of terms; the apply gathers 16 bytes per group and row.
+    """
+    terms = len(spec["terms"]) if spec["kind"] == "pauli-sum" else spec["num_terms"]
+    groups = min(terms, 1 << min(qubits, 64))
+    return groups * (24 + 16 * rows)
 
 
 def load_config(path: str | Path, kind: str | None = None) -> dict:
@@ -573,11 +591,11 @@ def _qntk_chunk(payload: dict, lo: int, hi: int) -> list[float]:
     cfg = payload["cfg"]
     n, li, layers = cfg["qubits"], payload["layer_index"], payload["layers"]
     streams = stream_block(cfg["seed"], [(_LANE_TRIALS, li, k) for k in range(lo, hi)])
-    obs_matrix = payload["observable"].matrix
+    obs = payload["observable"]
     if _lazy_haar(cfg):
-        return list(haar_instance_kernels(n, layers, streams, obs_matrix, zero_state(n), cfg["exclude_identity"]))
+        return list(haar_instance_kernels(n, layers, streams, obs, zero_state(n), cfg["exclude_identity"]))
     batch = _circuit_batch(cfg, layers, streams, payload["shared"])
-    return list(ensemble_kernels(batch, streams, obs_matrix, zero_state(n)))
+    return list(ensemble_kernels(batch, streams, obs, zero_state(n)))
 
 
 def run_qntk_stats(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tuple[int, dict]:
@@ -643,7 +661,7 @@ def _descent_chunk(payload: dict, lo: int, hi: int) -> list:
     theta0 = ensemble_angles(batch.num_layers, streams).T
     psi0 = np.tile(payload["features"], (len(streams), 1))
     residuals, kernels, _, diverged = gd_batch(
-        batch, payload["observable"].matrix, payload["target"], psi0, theta0, cfg["eta"], cfg["steps"]
+        batch, payload["observable"], payload["target"], psi0, theta0, cfg["eta"], cfg["steps"]
     )
     return [diverged[s] if s in diverged else (residuals[s], kernels[s]) for s in range(len(streams))]
 
@@ -739,7 +757,7 @@ def _eigen_chunk(payload: dict, lo: int, hi: int) -> list[tuple[float, np.ndarra
     streams = stream_block(cfg["seed"], [(_LANE_TRIALS, payload["size_index"], k) for k in range(lo, hi)])
     batch = sample_random_circuits(n, layers, streams, exclude_identity=cfg["exclude_identity"])
     features = np.eye(1 << n, dtype=complex)[:size]
-    kernels = supervised_kernels(batch, ensemble_angles(layers, streams), features, payload["observable"].matrix)
+    kernels = supervised_kernels(batch, ensemble_angles(layers, streams), features, payload["observable"])
     return list(zip(np.linalg.eigvalsh(kernels)[:, 0], kernels))
 
 
@@ -783,12 +801,12 @@ def run_haar_check(cfg: dict, obs: Observable, out_dir: Path, digest: str) -> tu
         dim = 1 << n
         rng = RngStream(cfg["seed"], (_LANE_TRIALS, qi))
         obs_n = obs if obs.num_qubits == n else _restrict_observable(obs, n)
-        obs_mat = np.asarray(obs_n.matrix)
+        obs_mat = obs_n.matrix
         traceless = obs_mat - (np.trace(obs_mat) / dim) * np.eye(dim)
         psi = zero_state(n)
         second = mc_second_moment(dim, psi, traceless, cfg["samples"], rng.substream(0))
         checks.append({"name": f"second-moment-D{dim}", **second.as_dict()})
-        x_mat = pauli_matrix("Z" + "I" * (n - 1))
+        x_mat = Observable.from_letters(((1.0, "Z" + "I" * (n - 1)),), 0.0).matrix
         comm = mc_commutator_trace(dim, x_mat, obs_mat, cfg["samples"], rng.substream(1))
         checks.append({"name": f"commutator-trace-D{dim}", **comm.as_dict()})
     write_csv(

@@ -142,7 +142,7 @@ def mc_kbar(
     for lo, hi in chunk_grid(samples, dim, layers):
         streams = stream_block(rng.seed, [rng.index + (s + 1,) for s in range(lo, hi)])
         batch = sample_random_circuits(n, layers, streams)
-        values[lo:hi] = ensemble_kernels(batch, streams, obs.matrix, psi0)
+        values[lo:hi] = ensemble_kernels(batch, streams, obs, psi0)
     return MomentEstimate.from_samples(values, target)
 
 

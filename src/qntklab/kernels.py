@@ -19,7 +19,8 @@ The supervised kernel of a circuit over P training points
 (:func:`supervised_kernels`) is the Gram matrix of its P gradient rows.
 :func:`forward_adjoint` evaluates every circuit held as a
 :class:`CircuitBatch`; :func:`haar_instance_kernels` evaluates random-Haar
-circuits that are never held at all (below).
+circuits that are never held at all (below).  Every path forms O psi from
+the observable's Pauli tables (:meth:`Observable.apply`), never from a D x D matrix.
 
 The engine has two layer paths, chosen by size alone.  When the chunk's gates,
 one dense (D, D) matrix per layer and circuit, fit ``STACK_BYTES`` (the
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import NOT_UNITARY, CircuitBatch, code_tables, ensemble_angles
-from .linalg import STACK_BYTES, UNITARY_ATOL, RngStream, code_letters, letters_code, pauli_matrix, sample_pauli
+from .linalg import STACK_BYTES, UNITARY_ATOL, RngStream, code_letters, letters_code, sample_pauli
 
 IMAG_TOL = 1e-10
 
@@ -97,15 +98,15 @@ def _real_rows(values: np.ndarray, tol: float = IMAG_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian operator on ``num_qubits`` qubits as a weighted Pauli sum, immutable, with a cached matrix.
+    """Hermitian operator on ``num_qubits`` qubits as a weighted Pauli sum, immutable, applied from cached tables.
 
     ``terms`` holds (coefficient, code) pairs, each code the base-4 code of a
     Pauli string (``linalg.code_letters``); :meth:`from_letters` builds one
     from letters and :meth:`as_dict` writes it back as letters.  ``target``
-    is the scalar the expectation value is trained toward.  The matrix is
-    computed on first use and kept outside the dataclass fields, so it can be
-    neither passed in nor left stale.  Trace powers come from the Pauli terms
-    alone and never build it.
+    is the scalar the expectation value is trained toward.  :meth:`apply`
+    applies O from :meth:`tables`, which are computed on first use and kept
+    outside the dataclass fields, so they can be neither passed in nor left
+    stale.  Trace powers come from the Pauli terms alone.
     """
 
     num_qubits: int
@@ -136,21 +137,49 @@ class Observable:
     def dim(self) -> int:
         return 1 << self.num_qubits
 
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, weights), each (G, D): (O v)[j] = sum_g weights[g, j] v[index[g, j]], read-only.
+
+        The terms are grouped by X mask in order of first appearance (G <= min(T, D)):
+        index[g] = idx ^ flip_g, and weights[g] sums c_t phase_t over the group in
+        term order, from ``circuits.code_tables`` run on blocks of codes that fit STACK_BYTES.
+        """
+        cache = self.__dict__
+        if "_tables" not in cache:
+            n, dim = self.num_qubits, self.dim
+            flips: dict[int, int] = {}
+            group = [flips.setdefault(_pauli_masks(code, n)[0], len(flips)) for _, code in self.terms]
+            index = np.empty((len(flips), dim), dtype=np.intp)
+            weights = np.zeros((len(flips), dim), dtype=complex)
+            codes = np.array([[code for _, code in self.terms]], dtype=np.int64)
+            step = max(1, STACK_BYTES // (24 * dim))
+            for lo in range(0, len(self.terms), step):
+                perms, phases = code_tables(n, codes[:, lo : lo + step])
+                for t, perm, phase in zip(range(lo, lo + step), perms[:, 0], phases[:, 0]):
+                    index[group[t]] = perm
+                    phase *= self.terms[t][0]
+                    weights[group[t]] += phase
+            index.setflags(write=False)
+            weights.setflags(write=False)
+            cache["_tables"] = index, weights
+        return cache["_tables"]
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """O v for every row v of ``rows`` (R, D): one gather (R, G, D) and one weighted sum over the groups."""
+        index, weights = self.tables()
+        gathered = rows.take(index, axis=-1)
+        gathered *= weights
+        return gathered.sum(axis=-2)
+
     @property
     def matrix(self) -> np.ndarray:
-        cache = self.__dict__
-        if "_matrix" not in cache:
-            acc = np.zeros((self.dim, self.dim), dtype=complex)
-            for coef, code in self.terms:
-                # scaled in place, and freed before the next kron chain: the
-                # build holds acc, one term and that term's last factor
-                term = pauli_matrix(code_letters(self.num_qubits, code))
-                term *= coef
-                acc += term
-                del term
-            acc.setflags(write=False)
-            cache["_matrix"] = acc
-        return cache["_matrix"]
+        """The dense matrix, M[j, index[g, j]] = weights[g, j] group by group (only ``haar-check`` reads it)."""
+        index, weights = self.tables()
+        matrix = np.zeros((self.dim, self.dim), dtype=complex)
+        rows = np.arange(self.dim)
+        for cols, values in zip(index, weights):
+            matrix[rows, cols] += values
+        return matrix
 
     def trace_power(self, k: int) -> float:
         """Tr(O^k) = D times the identity coefficient of O^k, by Pauli-product algebra.
@@ -234,9 +263,9 @@ def random_pauli_sum(
     return Observable(n, tuple(terms), target)
 
 
-def _check_inputs(dim: int, size: int, psi0, obs_matrix: np.ndarray) -> np.ndarray:
+def _check_inputs(dim: int, size: int, psi0, obs: Observable) -> np.ndarray:
     """Observable and input states fit D; states are one (D,) or P per circuit (S*P, D), normalized."""
-    if obs_matrix.shape != (dim, dim):
+    if obs.dim != dim:
         raise ValueError("observable and ansatz qubit counts differ")
     psi0 = np.asarray(psi0)
     rows = psi0.ndim == 2 and psi0.shape[1] == dim and len(psi0) > 0 and len(psi0) % size == 0
@@ -282,7 +311,7 @@ def _apply_transpose(w, states: np.ndarray) -> np.ndarray:
 
 
 def forward_adjoint(
-    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray
+    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs: Observable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Outputs and exact angle derivatives of S circuits in one forward and one backward pass.
 
@@ -300,19 +329,23 @@ def forward_adjoint(
     turn (:func:`_layer_pass`).  The chunk grid keeps every chunk of an
     ensemble on the same side of that line.
     """
-    layers, size, dim = batch.num_layers, batch.size, batch.dim
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (layers, size):
-        raise ValueError(f"expected angles of shape {(layers, size)}, got {theta.shape}")
-    psi0 = _check_inputs(dim, size, psi0, obs_matrix)
+    if theta.shape != (batch.num_layers, batch.size):
+        raise ValueError(f"expected angles of shape {(batch.num_layers, batch.size)}, got {theta.shape}")
+    return _engine(batch, theta, _check_inputs(batch.dim, batch.size, psi0, obs), obs)
+
+
+def _engine(batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`forward_adjoint` on the inputs it has checked (``training.gd_batch`` checks them once)."""
+    layers, size, dim = batch.num_layers, batch.size, batch.dim
     points = len(psi0) // size if psi0.ndim == 2 else 1
     if layers * size * dim * dim * 16 <= STACK_BYTES:
-        return _fused_pass(batch, theta, psi0, obs_matrix, points)
-    return _layer_pass(batch, theta, psi0, obs_matrix, points)
+        return _fused_pass(batch, theta, psi0, obs, points)
+    return _layer_pass(batch, theta, psi0, obs, points)
 
 
 def _fused_pass(
-    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray, points: int
+    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs: Observable, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The engine on whole gates G = cos(theta) W + i sin(theta) W X, one matmul per layer per pass."""
     layers, size, dim = batch.num_layers, batch.size, batch.dim
@@ -327,7 +360,7 @@ def _fused_pass(
     for before, gate, after in zip(states, gates.swapaxes(2, 3), states[1:]):
         np.matmul(before, gate, out=after)
     psi = states[layers].reshape(rows, dim)
-    lam = psi @ obs_matrix.T
+    lam = obs.apply(psi)
     outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
     # Backward on conjugate rows: mu = conj(lam) obeys mu_{l-1} = mu_l G_l.
     mus = np.empty_like(states)
@@ -343,7 +376,7 @@ def _fused_pass(
 
 
 def _layer_pass(
-    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs_matrix: np.ndarray, points: int
+    batch: CircuitBatch, theta: np.ndarray, psi0: np.ndarray, obs: Observable, points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The engine one rotation and one fixed unitary at a time, for circuits too wide for dense gates.
 
@@ -351,7 +384,7 @@ def _layer_pass(
     """
     fixed, pulled = batch.fixed, batch.backward_layers()
     layers, size = theta.shape
-    rows, dim = size * points, obs_matrix.shape[0]
+    rows, dim = size * points, batch.dim
     theta = np.repeat(theta, points, axis=1)
     cos = np.cos(theta)[:, :, None]
     isin = 1j * np.sin(theta)[:, :, None]
@@ -375,7 +408,7 @@ def _layer_pass(
         np.multiply(cos[k], psi, out=out)
         out += isin[k] * phase * psi.take(index)
         psi = _apply(fixed[k], out)
-    lam = psi @ obs_matrix.T
+    lam = obs.apply(psi)
     outputs = _real_rows(np.sum(psi.conj() * lam, axis=1))
     mu = lam.conj()
     grads = np.empty((rows, layers))
@@ -422,7 +455,7 @@ def _check_norms(got: np.ndarray, want: np.ndarray):
 
 
 def haar_instance_kernels(
-    n: int, layers: int, streams, obs_matrix: np.ndarray, psi0: np.ndarray, exclude_identity: bool = True
+    n: int, layers: int, streams, obs: Observable, psi0: np.ndarray, exclude_identity: bool = True
 ) -> np.ndarray:
     """QNTK of a fresh random-Haar circuit per stream, with every Haar layer drawn lazily.
 
@@ -444,7 +477,7 @@ def haar_instance_kernels(
     if n < 1 or layers < 0:
         raise ValueError("need n >= 1 and layers >= 0")
     dim, size = 1 << n, len(streams)
-    psi0 = _check_inputs(dim, 1, np.reshape(psi0, (1, -1)), obs_matrix)[0]
+    psi0 = _check_inputs(dim, 1, np.reshape(psi0, (1, -1)), obs)[0]
     codes = np.empty((size, layers), dtype=np.int64)
     normals = np.empty((size, 2, layers, 2, dim))
     for s, rng in enumerate(streams):
@@ -454,7 +487,7 @@ def haar_instance_kernels(
     cos, isin = np.cos(theta)[..., None], 1j * np.sin(theta)[..., None]
     radius = np.linalg.norm(psi0)
     psi = _haar_images(normals[:, 0, -1], radius) if layers else np.broadcast_to(psi0, (size, dim))
-    lam = psi @ obs_matrix.T
+    lam = obs.apply(psi)
     alpha = _real_rows(np.sum(psi.conj() * lam, axis=1)) / radius**2
     beta = np.linalg.norm(lam - alpha[:, None] * psi, axis=1)
     grads = np.empty((size, layers))
@@ -491,7 +524,7 @@ def model_output(
 ) -> float:
     """Expectation of the observable in the circuit-evolved feature state."""
     theta = circuit.check_parameters(theta)
-    outputs, _ = forward_adjoint(circuit, theta[:, None], phi, obs.matrix)
+    outputs, _ = forward_adjoint(circuit, theta[:, None], phi, obs)
     return float(outputs[0])
 
 
@@ -511,7 +544,7 @@ def gradient(
     model output.
     """
     theta = circuit.check_parameters(theta)
-    _, grads = forward_adjoint(circuit, theta[:, None], psi0, obs.matrix)
+    _, grads = forward_adjoint(circuit, theta[:, None], psi0, obs)
     return grads[0]
 
 
@@ -521,12 +554,10 @@ def qntk(grad: np.ndarray) -> float:
     return float(grad @ grad)
 
 
-def ensemble_kernels(
-    batch: CircuitBatch, streams, obs_matrix: np.ndarray, psi0: np.ndarray
-) -> np.ndarray:
+def ensemble_kernels(batch: CircuitBatch, streams, obs: Observable, psi0: np.ndarray) -> np.ndarray:
     """QNTK of each circuit of an ensemble chunk, circuit s at angles drawn from ``streams[s]``."""
     theta = ensemble_angles(batch.num_layers, streams)
-    _, grads = forward_adjoint(batch, theta, psi0, obs_matrix)
+    _, grads = forward_adjoint(batch, theta, psi0, obs)
     return np.array([qntk(g) for g in grads])
 
 
@@ -540,19 +571,19 @@ def hessian_residual(
     copies of the circuit; the upper triangle is mirrored.
     """
     theta = circuit.check_parameters(theta)
-    psi0 = _check_inputs(circuit.dim, 1, np.reshape(psi0, (1, -1)), obs.matrix)[0]
+    psi0 = _check_inputs(circuit.dim, 1, np.reshape(psi0, (1, -1)), obs)[0]
     layers = circuit.num_layers
     if layers == 0:
         return np.empty((0, 0))
     shifts = (np.pi / 4) * np.eye(layers)
     angles = theta[:, None] + np.concatenate([shifts, -shifts], axis=1)
-    _, grads = forward_adjoint(circuit.repeat(2 * layers), angles, psi0, obs.matrix)
+    _, grads = forward_adjoint(circuit.repeat(2 * layers), angles, psi0, obs)
     pair = grads[:layers] - grads[layers:]
     return np.triu(pair) + np.triu(pair, 1).T
 
 
 def supervised_kernels(
-    batch: CircuitBatch, theta: np.ndarray, features: np.ndarray, obs_matrix: np.ndarray
+    batch: CircuitBatch, theta: np.ndarray, features: np.ndarray, obs: Observable
 ) -> np.ndarray:
     """Supervised kernels K_s[d, e] = grad z_s(x_d) . grad z_s(x_e) of S circuits over P points.
 
@@ -565,7 +596,7 @@ def supervised_kernels(
     features = np.asarray(features)
     points, layers = len(features), batch.num_layers
     psi0 = np.tile(features, (batch.size, 1))
-    _, grads = forward_adjoint(batch, theta, psi0, obs_matrix)
+    _, grads = forward_adjoint(batch, theta, psi0, obs)
     grads = grads.reshape(batch.size, points, layers)
     return grads @ grads.swapaxes(1, 2)
 

@@ -3,8 +3,8 @@
 Everything downstream (circuits, kernels, Monte-Carlo oracles) is built on the
 primitives here.  A Pauli string is held as its base-4 code (I=0, X=1, Y=2,
 Z=3, qubit 0 the most significant digit).  Letters are read and written only
-at the edges (:func:`letters_code`, :func:`code_letters`), and
-:func:`pauli_matrix` builds a string's dense Kronecker product from them.
+at the edges (:func:`letters_code`, :func:`code_letters`); no dense Pauli
+matrix is built here (``circuits.code_tables`` applies a string in O(D)).
 The rest are Haar-distributed unitaries and reproducible random streams keyed
 by a (master seed, stream index) pair, built one at a time or as a block.
 """
@@ -17,13 +17,6 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 PAULI_LETTERS = "IXYZ"
-
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 UNITARY_ATOL = 1e-10
 
@@ -216,18 +209,6 @@ def substreams(streams, index: int) -> list[RngStream]:
     if len(seeds) != 1:
         return [s.substream(index) for s in streams]
     return stream_block(seeds.pop(), [s.index + (int(index),) for s in streams])
-
-
-def pauli_matrix(letters: str) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a Pauli string's letters (Hermitian, unitary).
-
-    Qubit 0 is the leftmost letter and the most significant index bit.
-    The matrix is a new array, which the caller may change.
-    """
-    out = PAULI_1Q[letters[0]].copy()
-    for letter in letters[1:]:
-        out = np.kron(out, PAULI_1Q[letter])
-    return out
 
 
 def matrices_per_block(dim: int) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import CircuitBatch, uniform_angles
-from .kernels import Observable, forward_adjoint, qntk
+from .kernels import Observable, _engine, forward_adjoint, qntk
 from .linalg import RngStream
 
 
@@ -86,7 +86,7 @@ def squared_loss(residuals: np.ndarray) -> np.ndarray:
 
 def gd_batch(
     batch: CircuitBatch,
-    obs_matrix: np.ndarray,
+    obs: Observable,
     target,
     psi0: np.ndarray,
     theta0: np.ndarray,
@@ -98,9 +98,10 @@ def gd_batch(
 
     ``theta0`` has shape (S, L).  ``psi0`` is one input state (D,) for all
     circuits or P states per circuit (S*P, D), as in :func:`forward_adjoint`;
-    ``obs_matrix`` is one observable (D, D), and ``target`` broadcasts against
+    ``obs`` is the observable, and ``target`` broadcasts against
     the (S, P) outputs: a scalar, or one label per training point (P,).
-    Every step is one engine call for all S*P rows.  Returns ``(residuals,
+    Every step is one engine call for all S*P rows, and only the first checks
+    the inputs.  Returns ``(residuals,
     kernels, parameters, diverged)``: residuals of shape (S, T+1, P), the
     trace of each circuit's supervised kernel (S, T+1), parameters
     (S, T+1, L) or None, and a dict from the index of each circuit whose loss
@@ -119,7 +120,7 @@ def gd_batch(
     # overflow is detected explicitly and reported as divergence, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(steps + 1):
-            outputs, grads = forward_adjoint(batch, theta.T, psi0, obs_matrix)
+            outputs, grads = (_engine if t else forward_adjoint)(batch, theta.T, psi0, obs)
             eps = outputs.reshape(size, points) - target
             finite = np.isfinite(squared_loss(eps)) & np.isfinite(theta).all(axis=1)
             for s in np.flatnonzero(~finite):
@@ -147,7 +148,7 @@ def gd_optimize(
     theta0 = _initial_angles(circuit.num_layers, cfg)
     residuals, kernels, params, diverged = gd_batch(
         circuit,
-        obs.matrix,
+        obs,
         obs.target,
         psi0,
         theta0[None, :],

@@ -19,13 +19,45 @@ layer at a time, forward and then backward (:func:`haar_image`,
 the reference for the library's stream blocks.  Basis states
 (:func:`basis_state`) and the meta-kernel g^T H g of the library's exact
 gradient and Hessian (:func:`meta_kernel`) live here too: only tests use them.
+Dense Pauli matrices are Kronecker products of their letters
+(:func:`pauli_matrix`), the oracle for the library's Pauli tables, and a
+dense observable is the sum of its terms' (:func:`observable_matrix`).
 """
 
 import numpy as np
 
 from qntklab import residual_error
 from qntklab.circuits import uniform_angles
-from qntklab.linalg import RngStream, code_letters, pauli_matrix, zero_state
+from qntklab.linalg import RngStream, code_letters, zero_state
+
+PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def pauli_matrix(letters: str) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a Pauli string's letters, one Kronecker factor per letter.
+
+    Qubit 0 is the leftmost letter and the most significant index bit.
+    The matrix is a new array, which the caller may change.
+    """
+    out = PAULI_1Q[letters[0]].copy()
+    for letter in letters[1:]:
+        out = np.kron(out, PAULI_1Q[letter])
+    return out
+
+
+def observable_matrix(obs) -> np.ndarray:
+    """The dense matrix of an observable: each term's Kronecker product, scaled and added in term order."""
+    acc = np.zeros((obs.dim, obs.dim), dtype=complex)
+    for coef, code in obs.terms:
+        term = pauli_matrix(code_letters(obs.num_qubits, code))
+        term *= coef
+        acc += term
+    return acc
 
 
 def basis_state(n: int, index: int) -> np.ndarray:

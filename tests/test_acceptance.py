@@ -29,11 +29,10 @@ from qntklab import (
 from qntklab.circuits import chunk_grid, ensemble_angles, sample_random_circuits
 from qntklab.experiments import run_experiment, validate_config
 from qntklab.kernels import ensemble_kernels, supervised_kernels
-from qntklab.linalg import pauli_matrix
 from qntklab.theory import kbar_exact, kernel_eigenvalues
 from qntklab.training import gd_batch
 
-from helpers import fd_gradient, fd_hessian, gradient_close, meta_kernel
+from helpers import fd_gradient, fd_hessian, gradient_close, meta_kernel, pauli_matrix
 
 ZZ = Observable.from_letters(((1.0, "ZZ"),), 0.0)
 
@@ -104,7 +103,7 @@ def test_criterion_3_concentration_scaling():
         for lo, hi in chunk_grid(samples, 4, layers):
             streams = [RngStream(3302, (li, s)) for s in range(lo, hi)]
             batch = sample_random_circuits(2, layers, streams)
-            values[lo:hi] = ensemble_kernels(batch, streams, obs.matrix, psi)
+            values[lo:hi] = ensemble_kernels(batch, streams, obs, psi)
         ratios.append(values.std(ddof=1) / values.mean())
     slope = float(np.polyfit(np.log(layer_grid), np.log(ratios), 1)[0])
     elapsed = time.perf_counter() - start
@@ -130,7 +129,7 @@ def _decay_protocol(seed: int):
         streams = [rng.substream(t) for t in range(lo, hi)]
         batch = sample_random_circuits(2, layers, streams)
         theta0 = ensemble_angles(layers, streams).T
-        residuals, _, _, diverged = gd_batch(batch, obs.matrix, obs.target, psi, theta0, eta, steps)
+        residuals, _, _, diverged = gd_batch(batch, obs, obs.target, psi, theta0, eta, steps)
         assert not diverged
         for errors in residuals[:, :, 0]:
             rate, r2 = fit_decay_rate(errors)
@@ -172,7 +171,7 @@ def _eigen_protocol(seed: int):
             sub = rng.substream(size * 1000 + t)
             ansatz = build_random_ansatz(n, layers, sub)
             theta = uniform_angles(layers, sub.substream(0))
-            acc += supervised_kernels(ansatz, theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
+            acc += supervised_kernels(ansatz, theta[:, None], np.eye(dim)[:size], obs)[0]
         lowest = float(np.linalg.eigvalsh(acc / 50)[0])
         rel = abs(lowest - theory) / theory if theory > 0 else abs(lowest)
         worst = max(worst, rel)
@@ -291,7 +290,7 @@ def test_criterion_8_kernel_psd_and_symmetry():
             obs = random_pauli_sum(n, 6, rng.substream(1))
             theta = uniform_angles(12, rng.substream(2))
             size = 1 + int(rng.substream(3).generator.integers(0, dim))
-            kernel = supervised_kernels(ansatz, theta[:, None], np.eye(dim)[:size], obs.matrix)[0]
+            kernel = supervised_kernels(ansatz, theta[:, None], np.eye(dim)[:size], obs)[0]
             worst_asym = max(worst_asym, float(np.max(np.abs(kernel - kernel.T))))
             worst_eig = min(worst_eig, float(np.linalg.eigvalsh(kernel)[0]))
             count += 1

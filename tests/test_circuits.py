@@ -19,7 +19,6 @@ from qntklab.linalg import (
     RngStream,
     code_letters,
     haar_unitary,
-    pauli_matrix,
     sample_pauli,
     zero_state,
 )
@@ -32,6 +31,7 @@ from helpers import (
     evolve_state,
     expm_pauli,
     pauli_action,
+    pauli_matrix,
     prefix_suffix,
 )
 

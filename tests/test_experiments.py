@@ -303,7 +303,7 @@ def test_train_supervised_trials_match_the_library(tmp_path):
         stream = RngStream(cfg["seed"], (_LANE_TRIALS, k))
         batch = build_random_ansatz(3, 64, stream)
         theta0 = uniform_angles(64, stream.substream(0))[None, :]
-        residuals, kernels, _, _ = gd_batch(batch, obs.matrix, labels, features, theta0, cfg["eta"], cfg["steps"])
+        residuals, kernels, _, _ = gd_batch(batch, obs, labels, features, theta0, cfg["eta"], cfg["steps"])
         lines = (tmp_path / "trials" / f"trial_{k}.csv").read_text().splitlines()[2:]
         table = np.array([[float(v) for v in line.split(",")[1:]] for line in lines])
         assert np.max(np.abs(table[:, 0] / squared_loss(residuals[0]) - 1.0)) <= 1e-12
@@ -323,7 +323,7 @@ def test_eigen_scan_trials_match_the_library(tmp_path):
             stream = RngStream(cfg["seed"], (_LANE_TRIALS, si, k))
             batch = build_random_ansatz(3, 64, stream)
             theta = uniform_angles(64, stream.substream(0))[:, None]
-            reference = supervised_kernels(batch, theta, features, obs.matrix)[0]
+            reference = supervised_kernels(batch, theta, features, obs)[0]
             scale = np.max(np.abs(reference))
             assert np.max(np.abs(kernel - reference)) <= 1e-12 * scale
             assert abs(float(lines[k].split(",")[1]) - np.linalg.eigvalsh(reference)[0]) <= 1e-12 * scale
@@ -641,8 +641,8 @@ def test_non_finite_and_boolean_values_are_config_errors(tmp_path, capsys, base,
 
 
 def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path, capsys):
-    # random-Haar at 13 qubits in angle mode: the observable, 64 dense layers
-    # and the sampler's 4 temporary matrices, 1 GiB each
+    # random-Haar at 13 qubits in angle mode: 64 dense layers and the
+    # sampler's 4 temporary matrices, 1 GiB each
     big = qntk_cfg(qubits=13, layers=[64], observable={"kind": "random-pauli-sum"})
     path = tmp_path / "big.json"
     path.write_text(json.dumps(dict(big, resample="angle")))
@@ -650,10 +650,10 @@ def test_config_over_the_dense_memory_limit_is_refused_before_any_work(tmp_path,
     assert cli_main(["qntk-stats", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert "'qubits/layers'" in err and "69.0 GiB" in err and "Traceback" not in err
+    assert "'qubits/layers'" in err and "68.0 GiB" in err and "Traceback" not in err
     assert not (tmp_path / "run").exists()
     # instance mode draws its Haar layers lazily, and the hardware-efficient
-    # families hold no dense fixed layer: only the observable counts
+    # families hold no dense fixed layer: only the tables and the engine's rows count
     assert validate_config(big)["qubits"] == 13
     hea = qntk_cfg(qubits=13, layers=[64], ansatz="hardware-efficient-cnot", observable={"kind": "random-pauli-sum"})
     assert validate_config(hea)["qubits"] == 13
@@ -673,10 +673,12 @@ def test_engine_row_arrays_count_toward_the_memory_limit():
     for ansatz in ("random-haar", "hardware-efficient-cnot"):
         with pytest.raises(ConfigError, match="'qubits/layers'"):
             validate_config(qntk_cfg(qubits=13, layers=[100000], ansatz=ansatz, observable=_RANDOM))
-    # the hardware-efficient layer count is depth * 3n: about 1.8 GiB here
+    # the hardware-efficient layer count is depth * 3n: about 0.8 GiB here,
+    # 1.5 GiB at depth 128 and 3.1 GiB at depth 256
     assert validate_config(qntk_cfg(qubits=13, layers=[64], ansatz="hardware-efficient-cnot", observable=_RANDOM))
+    assert validate_config(qntk_cfg(qubits=13, layers=[128], ansatz="hardware-efficient-cnot", observable=_RANDOM))
     with pytest.raises(ConfigError, match="'qubits/layers'"):
-        validate_config(qntk_cfg(qubits=13, layers=[128], ansatz="hardware-efficient-cnot", observable=_RANDOM))
+        validate_config(qntk_cfg(qubits=13, layers=[256], ansatz="hardware-efficient-cnot", observable=_RANDOM))
     # the supervised kinds keep one row per training point
     wide = supervised_cfg(qubits=12, layers=4, ansatz="hardware-efficient-cnot", train_size=2)
     assert validate_config(wide)
@@ -726,11 +728,11 @@ def test_run_long_records_below_the_limit_are_accepted():
 )
 def test_chunk_peak_memory_stays_within_the_guard_estimate(ansatz, layers):
     # one 10-qubit circuit of 480 rotation layers, built and evaluated on the
-    # per-layer path or on lazy Haar layers; the observable's matrix is built
-    # first, so the traced peak is what the engine's count must cover
+    # per-layer path or on lazy Haar layers; the observable's tables are built
+    # first, and the engine's count covers them too
     cfg = validate_config(qntk_cfg(qubits=10, layers=[layers], samples=1, ansatz=ansatz, observable=_RANDOM))
     obs = realize_observable(cfg)
-    obs.matrix
+    obs.tables()
     payload = {"cfg": cfg, "observable": obs, "layer_index": 0, "layers": layers, "shared": None}
     tracemalloc.start()
     try:
@@ -752,13 +754,13 @@ _DENSE_CHUNKS = {
 @pytest.mark.parametrize("kind", sorted(_DENSE_CHUNKS))
 def test_dense_sampler_peak_memory_stays_within_the_guard_estimate(kind):
     # one 8-qubit circuit of 16 Haar layers on the dense sampler (one matrix
-    # at a time at D >= 128) and its engine call; the observable's matrix is
-    # built first and counted as the guard counts it.  In angle mode the run
-    # draws the shared circuit once, outside the chunk: it is traced here too
+    # at a time at D >= 128) and its engine call; the observable's tables are
+    # built first, and the engine's count covers them too.  In angle mode the
+    # run draws the shared circuit once, outside the chunk: it is traced here too
     raw, chunk = _DENSE_CHUNKS[kind]
     cfg = validate_config(raw())
     obs = realize_observable(cfg)
-    matrix = obs.matrix.nbytes
+    obs.tables()
     size = cfg.get("train_size", 4 if kind == "eigen-scan" else 1)
     payload = {
         "cfg": cfg,
@@ -777,7 +779,29 @@ def test_dense_sampler_peak_memory_stays_within_the_guard_estimate(kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert matrix + peak <= (1 + _dense_matrices(cfg)) * matrix + (_engine_entry_bytes(cfg) << cfg["qubits"])
+    matrix = 16 << (2 * cfg["qubits"])
+    assert peak <= _dense_matrices(cfg) * matrix + (_engine_entry_bytes(cfg) << cfg["qubits"])
+
+
+def test_fourteen_qubit_hardware_efficient_config_is_accepted():
+    # validation only: the observable is counted as its tables, not as the
+    # 4 GiB matrix that used to refuse this config
+    cfg = qntk_cfg(qubits=14, layers=[1, 2], samples=4, ansatz="hardware-efficient-cnot", observable=_RANDOM)
+    assert validate_config(cfg)["qubits"] == 14
+
+
+def test_twelve_qubit_hardware_efficient_chunk_peaks_under_its_estimate():
+    # one depth-2 circuit of a fresh 10-term observable: the tables are built
+    # inside the traced region, and the per-layer path applies O from them
+    cfg = validate_config(qntk_cfg(qubits=12, layers=[2], samples=1, ansatz="hardware-efficient-cnot", observable=_RANDOM))
+    payload = {"cfg": cfg, "observable": realize_observable(cfg), "layer_index": 0, "layers": 2, "shared": None}
+    tracemalloc.start()
+    try:
+        _qntk_chunk(payload, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _engine_entry_bytes(cfg) << 12
 
 
 _HEA_BASES = {
@@ -943,11 +967,11 @@ _DIVERGING = {"kind": "pauli-sum", "terms": [[1e160, "ZZ"], [1e160, "XI"]]}
 _OUTPUTS = {
     "qntk-stats": (qntk_cfg(samples=5), EXIT_OK, {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_1.csv"}),
     "train": (train_cfg(steps=3), EXIT_OK, {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_1.csv"}),
-    # trials 1, 2, 3, 5, 6 and 7 diverge; a trial keeps its index in its file name
+    # trials 0, 1, 2, 3, 4, 6 and 7 diverge; a trial keeps its index in its file name
     "train-partly-diverged": (
         train_cfg(layers=4, eta=3e307, steps=20, trials=8, seed=7),
         EXIT_OK,
-        {"observable.json", "summary.csv", "trials/trial_0.csv", "trials/trial_4.csv"},
+        {"observable.json", "summary.csv", "trials/trial_5.csv"},
     ),
     "train-all-diverged": (train_cfg(eta=1.0, steps=60, observable=_DIVERGING), EXIT_ALL_DIVERGED, {"observable.json", "summary.csv"}),
     "train-supervised": (

@@ -20,7 +20,8 @@ def test_every_export_resolves(module_name):
 
 
 def test_package_exports_no_test_only_names():
-    # the Pauli letter wrapper is gone, and basis states and the meta-kernel are test oracles
-    for name in ("PauliString", "pauli_code", "basis_state", "meta_kernel"):
+    # the Pauli letter wrapper is gone, and basis states, the meta-kernel and
+    # dense Pauli matrices are test oracles
+    for name in ("PauliString", "pauli_code", "basis_state", "meta_kernel", "pauli_matrix"):
         assert name not in qntklab.__all__
         assert not hasattr(qntklab, name)

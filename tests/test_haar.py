@@ -4,8 +4,10 @@ import pytest
 from qntklab.circuits import build_hardware_efficient, build_random_ansatz, uniform_angles
 from qntklab.haar import MomentEstimate, mc_commutator_trace, mc_kbar, mc_second_moment
 from qntklab.kernels import Observable, gradient, qntk, supervised_kernels
-from qntklab.linalg import RngStream, haar_unitary, pauli_matrix, zero_state
+from qntklab.linalg import RngStream, haar_unitary, zero_state
 from qntklab.theory import delta_k, kbar_exact, supervised_kbar
+
+from helpers import pauli_matrix
 
 ZZ = Observable.from_letters(((1.0, "ZZ"),), 0.0)
 
@@ -98,7 +100,7 @@ def test_supervised_kernel_entry_means_match_closed_forms():
         sub = rng.substream(s)
         ansatz = build_random_ansatz(2, 16, sub)
         theta = uniform_angles(16, sub.substream(0))
-        kernel = supervised_kernels(ansatz, theta[:, None], features, ZZ.matrix)[0]
+        kernel = supervised_kernels(ansatz, theta[:, None], features, ZZ)[0]
         diag[s] = kernel[0, 0]
         off[s] = kernel[0, 1]
     z_diag = (diag.mean() - supervised_kbar(4, 16, 1.0, 4.0).exact) / (diag.std(ddof=1) / np.sqrt(1500))

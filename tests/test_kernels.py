@@ -33,7 +33,6 @@ from qntklab.linalg import (
     code_letters,
     haar_unitary,
     letters_code,
-    pauli_matrix,
     sample_pauli,
     zero_state,
 )
@@ -49,7 +48,9 @@ from helpers import (
     fd_hessian,
     gradient_close,
     meta_kernel,
+    observable_matrix,
     parameter_shift_gradient,
+    pauli_matrix,
     prefix_suffix,
 )
 
@@ -72,10 +73,10 @@ def test_observable_dense_matches_term_sum():
     assert np.max(np.abs(obs.matrix - obs.matrix.conj().T)) <= 1e-12
 
 
-def test_observable_build_holds_the_matrix_one_term_and_its_last_factor():
-    # each term is scaled in place and freed before the next kron chain, so a
-    # 10-term build at n = 9 peaks near D^2 + D^2 + D^2 / 4 complex entries (3 D^2
-    # when the scaled term was a second temporary)
+def test_observable_matrix_is_scattered_with_no_dense_temporary():
+    # the matrix is scattered from the tables group by group, so a 10-term
+    # build at n = 9 holds the matrix and O(G D) more; the kron build of each
+    # term peaked at 2.32 times the matrix, and 3 times before that
     obs = random_pauli_sum(9, 10, RngStream(4))
     expected = np.zeros((512, 512), dtype=complex)
     for coef, code in obs.terms:
@@ -87,7 +88,7 @@ def test_observable_build_holds_the_matrix_one_term_and_its_last_factor():
     finally:
         tracemalloc.stop()
     assert np.array_equal(matrix, expected)
-    assert peak <= 2.5 * matrix.nbytes
+    assert peak <= 1.1 * matrix.nbytes
 
 
 def test_one_qubit_observable_leaves_the_pauli_constants_alone():
@@ -98,9 +99,49 @@ def test_one_qubit_observable_leaves_the_pauli_constants_alone():
     assert pauli_matrix("X") is not pauli_matrix("X")
 
 
+def _pauli_sum(n, gen, terms):
+    # drawn codes with repeats, an identity term, a zero and negative coefficients
+    codes = [int(c) for c in gen.integers(0, 4**n, size=terms)]
+    codes += codes[:2] + [0]
+    coefs = gen.uniform(-2.0, 2.0, size=len(codes))
+    coefs[1] = 0.0
+    return Observable(n, tuple(zip(coefs, codes)))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), terms=st.integers(1, 12), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_observable_apply_matches_the_kron_oracle(n, terms, rows, seed):
+    gen = np.random.default_rng(seed)
+    obs = _pauli_sum(n, gen, terms)
+    index, weights = obs.tables()
+    assert len(index) <= min(len(obs.terms), obs.dim) and weights.shape == index.shape
+    vecs = gen.standard_normal((rows, obs.dim)) + 1j * gen.standard_normal((rows, obs.dim))
+    tol = 1e-12 * sum(abs(c) for c, _ in obs.terms) * np.max(np.abs(vecs))
+    assert np.max(np.abs(obs.apply(vecs) - vecs @ observable_matrix(obs).T)) <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_observable_matrix_is_the_kron_sum_bit_for_bit(n):
+    gen = np.random.default_rng(70 + n)
+    for obs in (_pauli_sum(n, gen, 8), random_pauli_sum(n, 10, RngStream(71, (n,)))):
+        assert np.array_equal(obs.matrix, observable_matrix(obs))
+
+
+def test_observable_tables_group_the_terms_by_flip():
+    # ZZ, ZI and II share the flip 0; XY and YX flip both qubits; XI flips qubit 0
+    obs = Observable.from_letters(((1.0, "ZZ"), (2.0, "XY"), (0.5, "ZI"), (-1.0, "YX"), (3.0, "XI"), (1.0, "II")), 0.0)
+    index, weights = obs.tables()
+    assert index.tolist() == [[0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]]
+    assert np.array_equal(weights[0], [2.5, 0.5, -0.5, 1.5])
+    # the weights of 2 XY - YX, read off the kron oracle's entries (j, j ^ 3)
+    assert np.array_equal(weights[1], observable_matrix(obs)[np.arange(4), index[1]])
+    assert np.array_equal(weights[2], [3.0, 3.0, 3.0, 3.0])
+    assert not index.flags.writeable and not weights.flags.writeable
+
+
 def test_observable_trace_powers():
     obs = Observable.from_letters(((0.7, "ZZ"), (0.2, "XI")), 0.0)
-    mat = np.asarray(obs.matrix)
+    mat = observable_matrix(obs)
     for k in (1, 2, 3, 4, 6):
         direct = np.trace(np.linalg.matrix_power(mat, k)).real
         assert obs.trace_power(k) == pytest.approx(direct, abs=1e-10)
@@ -109,7 +150,7 @@ def test_observable_trace_powers():
         drawn = random_pauli_sum(n, 12, RngStream(40, (n,)), coeff_low=-1.0, coeff_high=1.0).terms
         terms = drawn + drawn[:3] + ((0.4, letters_code("I" * n)), (-0.3, letters_code("Y" * n)))
         obs = Observable(n, terms)
-        spectrum = np.linalg.eigvalsh(obs.matrix)
+        spectrum = np.linalg.eigvalsh(observable_matrix(obs))
         for k in range(1, 7):
             direct = float(np.sum(spectrum**k))
             assert abs(obs.trace_power(k) - direct) <= 1e-10 * max(1.0, abs(direct))
@@ -124,7 +165,7 @@ def test_trace_power_overflow_is_inf():
 def test_observable_is_frozen_and_caches_outside_its_fields():
     # a cache passed to the constructor used to be trusted: trace_power(2) gave 0
     with pytest.raises(TypeError):
-        Observable(2, ((1.0, 15),), _matrix=np.zeros((4, 4)))
+        Observable(2, ((1.0, 15),), _tables=(np.zeros((1, 4), dtype=int), np.zeros((1, 4))))
     obs = Observable(2, ((1.0, 15),))
     assert obs.trace_power(2) == 4.0
     # reassigning the terms after a matrix read used to leave the old matrix
@@ -179,7 +220,7 @@ def test_residual_error_basis_cases():
 def test_residual_error_matches_dense_conjugation():
     ansatz, theta, obs, psi = random_setup(4)
     u = circuit_unitary(ansatz, theta)
-    expected = np.vdot(psi, u.conj().T @ obs.matrix @ u @ psi).real - obs.target
+    expected = np.vdot(psi, u.conj().T @ observable_matrix(obs) @ u @ psi).real - obs.target
     assert residual_error(ansatz, theta, obs, psi) == pytest.approx(expected, abs=1e-12)
 
 
@@ -220,7 +261,7 @@ def test_gradient_equals_prefix_suffix_commutator_sandwich():
     ansatz, theta, obs, psi = random_setup(17, n=2, layers=5)
     g = gradient(ansatz, theta, obs, psi)
     u = circuit_unitary(ansatz, theta)
-    heis = u.conj().T @ obs.matrix @ u
+    heis = u.conj().T @ observable_matrix(obs) @ u
     for ell in range(1, 6):
         if ell == 1:
             prefix = np.eye(4, dtype=complex)
@@ -261,7 +302,7 @@ def test_zero_layer_supervised_kernel_is_zero():
     empty = build_random_ansatz(2, 0, RngStream(3))
     for obs in (ZZ, Observable.from_letters(((1.0, "XX"),), 0.0)):
         feats = np.eye(4, dtype=complex)[:3]
-        kernel = supervised_kernels(empty.repeat(2), np.empty((0, 2)), feats, obs.matrix)
+        kernel = supervised_kernels(empty.repeat(2), np.empty((0, 2)), feats, obs)
         assert kernel.shape == (2, 3, 3) and not np.any(kernel)
 
 
@@ -290,7 +331,7 @@ def test_hessian_diagonal_double_commutator_identity():
     ansatz, theta, obs, psi = random_setup(13, n=2, layers=5)
     exact = hessian_residual(ansatz, theta, obs, psi)
     u = circuit_unitary(ansatz, theta)
-    heis = u.conj().T @ obs.matrix @ u
+    heis = u.conj().T @ observable_matrix(obs) @ u
     frame = []
     for ell in range(1, 6):
         c = np.eye(4, dtype=complex) if ell == 1 else prefix_suffix(ansatz, theta, ell - 1)[0]
@@ -306,7 +347,7 @@ def test_hessian_diagonal_double_commutator_identity():
         prefix, suffix = prefix_suffix(ansatz, theta, ell)
         gen, w = circuit_layers(ansatz)[ell - 1]
         xhat = w @ pauli_matrix(gen) @ w.conj().T
-        pulled = suffix.conj().T @ obs.matrix @ suffix
+        pulled = suffix.conj().T @ observable_matrix(obs) @ suffix
         inner = xhat @ pulled - pulled @ xhat
         double = xhat @ inner - inner @ xhat
         phi = prefix @ psi
@@ -324,19 +365,24 @@ def test_meta_kernel_basics():
 
 
 def test_real_expectation_guard():
-    # the engine's guard on the imaginary residue of every output row
-    non_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    # the engine's guard on the imaginary residue of every output row: a Pauli
+    # sum is Hermitian, so the guard is reached through a patched table, X's
+    # with one weight zeroed, which is the matrix [[0, 1], [0, 0]]
+    obs = Observable(1, ((1.0, 1),))
+    index, weights = obs.tables()
+    assert index.tolist() == [[1, 0]] and weights.tolist() == [[1.0, 1.0]]
+    obs.__dict__["_tables"] = index, np.array([[1.0, 0.0]], dtype=complex)
     vec = np.array([1.0, 1.0j]) / np.sqrt(2)
     empty = build_random_ansatz(1, 0, RngStream(20))
     with pytest.raises(NonRealExpectationError):
-        forward_adjoint(empty, np.empty((0, 1)), vec, non_hermitian)
+        forward_adjoint(empty, np.empty((0, 1)), vec, obs)
 
 
 def test_supervised_single_pair_reduces_to_qntk():
     rng = RngStream(14)
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta = uniform_angles(6, rng.substream(1))
-    kernel = supervised_kernels(ansatz, theta[:, None], np.eye(4, dtype=complex)[:1], ZZ.matrix)
+    kernel = supervised_kernels(ansatz, theta[:, None], np.eye(4, dtype=complex)[:1], ZZ)
     g = gradient(ansatz, theta, ZZ, basis_state(2, 0))
     assert kernel.shape == (1, 1, 1)
     assert kernel[0, 0, 0] == qntk(g)
@@ -347,7 +393,7 @@ def test_supervised_duplicate_samples_give_equal_rows():
     ansatz = build_random_ansatz(2, 6, rng.substream(0))
     theta = uniform_angles(6, rng.substream(1))
     feats = np.stack([basis_state(2, 1), basis_state(2, 1)])
-    kernel = supervised_kernels(ansatz, theta[:, None], feats, ZZ.matrix)[0]
+    kernel = supervised_kernels(ansatz, theta[:, None], feats, ZZ)[0]
     assert np.allclose(kernel[0], kernel[1], atol=1e-12)
     assert abs(np.linalg.det(kernel)) <= 1e-10
 
@@ -360,7 +406,7 @@ def test_supervised_kernel_symmetric_psd(n, size):
         obs = random_pauli_sum(n, 6, rng.substream(1))
         theta = uniform_angles(8, rng.substream(2))
         feats = np.eye(1 << n, dtype=complex)[:size]
-        kernel = supervised_kernels(ansatz, theta[:, None], feats, obs.matrix)[0]
+        kernel = supervised_kernels(ansatz, theta[:, None], feats, obs)[0]
         assert np.max(np.abs(kernel - kernel.T)) <= 1e-10
         assert np.linalg.eigvalsh(kernel)[0] >= -1e-10
 
@@ -371,7 +417,7 @@ def test_supervised_multi_output_index_order():
     batch = sample_random_circuits(2, 5, streams)
     theta = ensemble_angles(5, streams)
     obs = Observable.from_letters(((1.0, "XI"),), 0.0)
-    gram = supervised_kernels(batch, theta, np.eye(4, dtype=complex)[:3], obs.matrix)
+    gram = supervised_kernels(batch, theta, np.eye(4, dtype=complex)[:3], obs)
     assert gram.shape == (3, 3, 3)
     for s in range(3):
         ansatz = build_random_ansatz(2, 5, RngStream(16, (s,)))
@@ -384,7 +430,7 @@ def test_supervised_multi_output_index_order():
 def test_empty_training_set_rejected():
     ansatz = build_random_ansatz(2, 3, RngStream(21))
     with pytest.raises(ValueError):
-        supervised_kernels(ansatz, np.zeros((3, 1)), np.empty((0, 4), dtype=complex), ZZ.matrix)
+        supervised_kernels(ansatz, np.zeros((3, 1)), np.empty((0, 4), dtype=complex), ZZ)
 
 
 def test_unnormalized_state_rejected():
@@ -426,12 +472,12 @@ def test_mixed_engine_call_matches_single_circuit_oracle(points, path, monkeypat
     states = rng.substream(3).generator.standard_normal((size * points, dim, 2)) @ np.array([1.0, 1.0j])
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     obs = random_pauli_sum(n, 10, rng.substream(4))
-    outputs, grads = forward_adjoint(batch, theta, states, obs.matrix)
+    outputs, grads = forward_adjoint(batch, theta, states, obs)
     assert outputs.shape == (size * points,) and grads.shape == (size * points, layers)
     for r in range(size * points):
         s = r // points
         per_layer = [w if w.ndim == 2 else w[s] for w in fixed]
-        value, grad = dense_output_and_gradient(letters[s], per_layer, theta[:, s], states[r], obs.matrix)
+        value, grad = dense_output_and_gradient(letters[s], per_layer, theta[:, s], states[r], observable_matrix(obs))
         assert abs(outputs[r] - value) <= 1e-12
         assert np.max(np.abs(grads[r] - grad)) <= 1e-12
 
@@ -507,7 +553,7 @@ def test_engine_paths_agree_with_each_other_and_the_dense_oracle(
     for path, budget in PATH_BUDGETS.items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernels, "STACK_BYTES", budget)
-            results[path] = forward_adjoint(batch, theta, states, obs.matrix)
+            results[path] = forward_adjoint(batch, theta, states, obs)
     (fused_out, fused_grad), (layer_out, layer_grad) = results["fused"], results["per-layer"]
     assert fused_out.shape == (size * points,) and fused_grad.shape == (size * points, layers)
     assert layer_grad.shape == fused_grad.shape
@@ -517,15 +563,36 @@ def test_engine_paths_agree_with_each_other_and_the_dense_oracle(
         s = r // points
         per_layer = [fixed[k][s] for k in range(layers)]
         value, grad = dense_output_and_gradient(
-            letters[s if own_generators else 0], per_layer, theta[:, s], states[r], obs.matrix
+            letters[s if own_generators else 0], per_layer, theta[:, s], states[r], observable_matrix(obs)
         )
         for out, grads in results.values():
             assert abs(out[r] - value) <= 1e-12
             assert np.max(np.abs(grads[r] - grad), initial=0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("path", sorted(PATH_BUDGETS))
+def test_both_engine_paths_apply_the_observable_as_the_dense_oracle(path, monkeypatch):
+    # identity layers and the CNOT permutation at n = 4, and an observable
+    # with repeated codes, an identity term, a zero and negative coefficients
+    monkeypatch.setattr(kernels, "STACK_BYTES", PATH_BUDGETS[path])
+    n, rows = 4, 3
+    gen = np.random.default_rng(80)
+    obs = _pauli_sum(n, gen, 10)
+    circuit = build_hardware_efficient(n, 1, "cnot-su2", RngStream(81))
+    theta = uniform_angles(circuit.num_layers, RngStream(82))
+    states = gen.standard_normal((rows, 1 << n)) + 1j * gen.standard_normal((rows, 1 << n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    outputs, grads = forward_adjoint(circuit.repeat(rows), np.repeat(theta[:, None], rows, axis=1), states, obs)
+    letters, fixed = zip(*circuit_layers(circuit))
+    tol = 1e-12 * sum(abs(c) for c, _ in obs.terms)
+    for r in range(rows):
+        # helpers.dense_output and its shift-rule gradient
+        value, grad = dense_output_and_gradient(letters, fixed, theta, states[r], observable_matrix(obs))
+        assert abs(outputs[r] - value) <= tol and np.max(np.abs(grads[r] - grad)) <= tol
+
+
 def test_engine_rejects_unnormalized_row():
     ansatz = build_random_ansatz(2, 3, RngStream(32))
     states = np.stack([zero_state(2), 2.0 * basis_state(2, 1)])
     with pytest.raises(ValueError, match="normalized"):
-        forward_adjoint(ansatz.repeat(2), np.zeros((3, 2)), states, ZZ.matrix)
+        forward_adjoint(ansatz.repeat(2), np.zeros((3, 2)), states, ZZ)

@@ -22,7 +22,7 @@ from qntklab.kernels import Observable, ensemble_kernels, haar_instance_kernels,
 from qntklab.linalg import RngStream, code_letters, zero_state
 from qntklab.theory import kbar_exact
 
-from helpers import fresh_stream, lazy_haar_sequential
+from helpers import fresh_stream, lazy_haar_sequential, observable_matrix
 
 # distribution bands: mean and variance differences within this many of their
 # standard errors, quantiles within this many binomial standard errors
@@ -36,11 +36,11 @@ def _unit_rows(rng, rows: int, dim: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _dense_kernels(n, layers, streams, obs_matrix):
+def _dense_kernels(n, layers, streams, obs):
     values = np.empty(len(streams))
     for lo, hi in chunk_grid(len(streams), 1 << n, layers):
         batch = sample_random_circuits(n, layers, streams[lo:hi])
-        values[lo:hi] = ensemble_kernels(batch, streams[lo:hi], obs_matrix, zero_state(n))
+        values[lo:hi] = ensemble_kernels(batch, streams[lo:hi], obs, zero_state(n))
     return values
 
 
@@ -56,8 +56,8 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
 def test_lazy_kernels_match_the_dense_sampler_in_distribution(n, layers):
     samples = 2000
     obs = random_pauli_sum(n, 10, RngStream(500 + n))
-    dense = _dense_kernels(n, layers, [RngStream(501, (k,)) for k in range(samples)], obs.matrix)
-    lazy = haar_instance_kernels(n, layers, [RngStream(502, (k,)) for k in range(samples)], obs.matrix, zero_state(n))
+    dense = _dense_kernels(n, layers, [RngStream(501, (k,)) for k in range(samples)], obs)
+    lazy = haar_instance_kernels(n, layers, [RngStream(502, (k,)) for k in range(samples)], obs, zero_state(n))
 
     mean_se = np.sqrt(dense.var(ddof=1) / samples + lazy.var(ddof=1) / samples)
     assert abs(lazy.mean() - dense.mean()) <= BAND_SE * mean_se
@@ -82,7 +82,7 @@ def test_one_layer_lazy_mean_is_the_exact_closed_form(n):
     samples = 4000
     obs = random_pauli_sum(n, 10, RngStream(510 + n))
     streams = [RngStream(511, (n, k)) for k in range(samples)]
-    values = haar_instance_kernels(n, 1, streams, obs.matrix, zero_state(n))
+    values = haar_instance_kernels(n, 1, streams, obs, zero_state(n))
     target = kbar_exact(1 << n, 1, obs.trace_power(2), obs.trace_power(1))
     assert MomentEstimate.from_samples(values, target).consistent
 
@@ -136,9 +136,9 @@ def test_lazy_draws_have_the_haar_moments():
 def test_a_kernel_depends_only_on_its_own_stream():
     obs = random_pauli_sum(3, 10, RngStream(540))
     streams = [RngStream(541, (k,)) for k in range(10)]
-    whole = haar_instance_kernels(3, 6, streams, obs.matrix, zero_state(3))
+    whole = haar_instance_kernels(3, 6, streams, obs, zero_state(3))
     split = np.concatenate(
-        [haar_instance_kernels(3, 6, [fresh_stream(s) for s in part], obs.matrix, zero_state(3)) for part in (streams[:3], streams[3:])]
+        [haar_instance_kernels(3, 6, [fresh_stream(s) for s in part], obs, zero_state(3)) for part in (streams[:3], streams[3:])]
     )
     np.testing.assert_allclose(split, whole, rtol=1e-12, atol=0)
 
@@ -171,9 +171,9 @@ def _check_against_the_sequential_form(n, layers, exclude_identity):
     """
     obs = random_pauli_sum(n, 10, RngStream(545))
     streams = [RngStream(546, (k,)) for k in range(6)]
-    values = haar_instance_kernels(n, layers, streams, obs.matrix, zero_state(n), exclude_identity)
+    values = haar_instance_kernels(n, layers, streams, obs, zero_state(n), exclude_identity)
     expected = np.array(
-        [qntk(lazy_haar_sequential(n, layers, fresh_stream(s), obs.matrix, exclude_identity)[0]) for s in streams]
+        [qntk(lazy_haar_sequential(n, layers, fresh_stream(s), observable_matrix(obs), exclude_identity)[0]) for s in streams]
     )
     low = 1 if exclude_identity else 0
     zero = np.array([_exactly_zero(n, fresh_stream(s).generator.integers(low, 4**n, size=layers)) for s in streams])
@@ -190,8 +190,8 @@ def test_the_co_state_keeps_its_overlap_and_orthogonal_norm_at_every_layer():
     for n, layers in ((1, 9), (2, 17), (3, 6)):
         obs = random_pauli_sum(n, 10, RngStream(547 + n))
         for k in range(5):
-            _, images, costates = lazy_haar_sequential(n, layers, RngStream(548, (n, k)), obs.matrix)
-            psi, lam = images[-1], obs.matrix @ images[-1]
+            _, images, costates = lazy_haar_sequential(n, layers, RngStream(548, (n, k)), observable_matrix(obs))
+            psi, lam = images[-1], observable_matrix(obs) @ images[-1]
             eps = np.vdot(psi, lam)
             beta = np.linalg.norm(lam - eps * psi)
             np.testing.assert_allclose(np.sum(images.conj() * costates, axis=1), eps, rtol=0, atol=1e-12)
@@ -202,7 +202,7 @@ def test_the_co_state_keeps_its_overlap_and_orthogonal_norm_at_every_layer():
 
 def test_zero_layers_give_exactly_zero():
     obs = random_pauli_sum(2, 10, RngStream(550))
-    values = haar_instance_kernels(2, 0, [RngStream(551, (k,)) for k in range(5)], obs.matrix, zero_state(2))
+    values = haar_instance_kernels(2, 0, [RngStream(551, (k,)) for k in range(5)], obs, zero_state(2))
     assert values.tolist() == [0.0] * 5
 
 
@@ -213,9 +213,10 @@ def test_norm_guard_rejects_a_draw_that_is_not_unitary(step, scale, monkeypatch)
     # only the forward guard can see it
     original = getattr(kernels, step)
     monkeypatch.setattr(kernels, step, lambda *args: (1.0 + 1e-8) * original(*args))
-    obs_matrix = scale * random_pauli_sum(2, 10, RngStream(560)).matrix
+    obs = random_pauli_sum(2, 10, RngStream(560))
+    obs = Observable(2, tuple((scale * c, p) for c, p in obs.terms))
     with pytest.raises(ValueError, match="not unitary"):
-        haar_instance_kernels(2, 4, [RngStream(561, (k,)) for k in range(3)], obs_matrix, zero_state(2))
+        haar_instance_kernels(2, 4, [RngStream(561, (k,)) for k in range(3)], obs, zero_state(2))
 
 
 def test_qntk_stats_instance_ensemble_runs_on_the_lazy_sampler(tmp_path):
@@ -228,7 +229,7 @@ def test_qntk_stats_instance_ensemble_runs_on_the_lazy_sampler(tmp_path):
     written = [float(row.split(",")[1]) for row in rows]
     streams = [RngStream(570, (_LANE_TRIALS, 0, k)) for k in range(20)]
     obs = Observable.from_letters(((1.0, "ZZ"),), 0.0)
-    assert written == haar_instance_kernels(2, 4, streams, obs.matrix, zero_state(2)).tolist()
+    assert written == haar_instance_kernels(2, 4, streams, obs, zero_state(2)).tolist()
 
 
 @pytest.mark.parametrize("exclude_identity", [False, True])

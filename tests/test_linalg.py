@@ -11,13 +11,12 @@ from qntklab.linalg import (
     kahan_sum,
     letters_code,
     matrices_per_block,
-    pauli_matrix,
     sample_pauli,
     stream_block,
     zero_state,
 )
 
-from helpers import basis_state, expm_pauli, pauli_rotation, rotate_state
+from helpers import basis_state, expm_pauli, pauli_matrix, pauli_rotation, rotate_state
 
 
 def random_letters(n, gen):

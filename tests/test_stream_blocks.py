@@ -16,9 +16,9 @@ from qntklab import circuits, haar
 from qntklab.circuits import ensemble_angles, sample_random_circuits, uniform_angles
 from qntklab.haar import mc_commutator_trace, mc_kbar, mc_second_moment
 from qntklab.kernels import ensemble_kernels, haar_instance_kernels, random_pauli_sum
-from qntklab.linalg import RngStream, pauli_matrix, stream_block, substreams, zero_state
+from qntklab.linalg import RngStream, stream_block, substreams, zero_state
 
-from helpers import plain_streams, plain_substreams
+from helpers import pauli_matrix, plain_streams, plain_substreams
 
 SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(0, 2**96 - 1)
 # one-word entries, and entries of 2^32 and more, which split into several words
@@ -111,7 +111,7 @@ def test_lazy_kernels_from_a_block_are_bit_identical(exclude_identity, request):
     obs = random_pauli_sum(2, 10, RngStream(70))
 
     def kernels(streams):
-        return haar_instance_kernels(2, 12, streams, obs.matrix, zero_state(2), exclude_identity)
+        return haar_instance_kernels(2, 12, streams, obs, zero_state(2), exclude_identity)
 
     got = kernels(stream_block(71, _prefixed((2, 0), 40)))
     request.getfixturevalue("unblocked")
@@ -123,7 +123,7 @@ def test_dense_ensemble_kernels_from_a_block_are_bit_identical(request):
     obs = random_pauli_sum(3, 10, RngStream(72))
 
     def kernels(streams):
-        return ensemble_kernels(sample_random_circuits(3, 6, streams), streams, obs.matrix, zero_state(3))
+        return ensemble_kernels(sample_random_circuits(3, 6, streams), streams, obs, zero_state(3))
 
     got = kernels(stream_block(73, _prefixed((2, 1), 20)))
     request.getfixturevalue("unblocked")

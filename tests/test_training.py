@@ -7,6 +7,7 @@ from qntklab.circuits import (
     sample_random_circuits,
     uniform_angles,
 )
+import qntklab.kernels as kernels
 from qntklab.kernels import (
     Observable,
     forward_adjoint,
@@ -120,7 +121,7 @@ def test_supervised_reduction_matches_single_target_exactly():
     theta0 = uniform_angles(6, rng.substream(1))
     label = 0.25
     residuals, kernels, params, diverged = gd_batch(
-        ansatz, ZZ.matrix, np.array([label]), np.eye(4, dtype=complex)[:1], theta0[None, :], 2e-3, 40, True
+        ansatz, ZZ, np.array([label]), np.eye(4, dtype=complex)[:1], theta0[None, :], 2e-3, 40, True
     )
     cfg = TrainingConfig(learning_rate=2e-3, steps=40, init_angles=theta0, record_parameters=True)
     single = gd_optimize(ansatz, Observable(2, ZZ.terms, label), zero_state(2), cfg)
@@ -137,8 +138,8 @@ def test_supervised_zero_update_when_labels_match_outputs():
     theta0 = uniform_angles(5, rng.substream(1))
     obs = random_pauli_sum(2, 4, rng.substream(2))
     feats = np.eye(4, dtype=complex)[:3]
-    z, _ = forward_adjoint(ansatz, theta0[:, None], feats, obs.matrix)
-    residuals, _, params, _ = gd_batch(ansatz, obs.matrix, z, feats, theta0[None, :], 1e-2, 10, True)
+    z, _ = forward_adjoint(ansatz, theta0[:, None], feats, obs)
+    residuals, _, params, _ = gd_batch(ansatz, obs, z, feats, theta0[None, :], 1e-2, 10, True)
     assert np.max(np.abs(squared_loss(residuals[0]))) <= 1e-24
     assert np.array_equal(params[0, 0], params[0, -1])
 
@@ -156,7 +157,7 @@ def test_supervised_loss_decays_exponentially():
         labels = 2.0 * label_gen.generator.integers(0, 2, size=3) - 1.0
         theta0 = uniform_angles(64, sub.substream(0))
         feats = np.eye(4, dtype=complex)[:3]
-        residuals, _, _, _ = gd_batch(ansatz, obs.matrix, labels, feats, theta0[None, :], 1e-3, 150)
+        residuals, _, _, _ = gd_batch(ansatz, obs, labels, feats, theta0[None, :], 1e-3, 150)
         losses = squared_loss(residuals[0])
         final_over_initial.append(losses[-1] / losses[0])
     assert np.mean(final_over_initial) < 0.05
@@ -220,11 +221,11 @@ def test_batched_divergence_matches_solo_runs():
         cfg = TrainingConfig(learning_rate=1e-2, steps=30, init_angles=init)
         return gd_optimize(build_random_ansatz(2, 6, RngStream(12, (k,))), observable, psi, cfg)
 
-    healthy = gd_batch(batch, obs.matrix, obs.target, psi, theta0, 1e-2, 30)
+    healthy = gd_batch(batch, obs, obs.target, psi, theta0, 1e-2, 30)
     assert healthy[3] == {}
     poisoned = theta0.copy()
     poisoned[1, 2] = np.inf
-    errors, kernels, _, diverged = gd_batch(batch, obs.matrix, obs.target, psi, poisoned, 1e-2, 30)
+    errors, kernels, _, diverged = gd_batch(batch, obs, obs.target, psi, poisoned, 1e-2, 30)
     with pytest.raises(TrainingDivergenceError) as alone:
         solo(1, poisoned[1], obs)
     assert diverged == {1: str(alone.value)}
@@ -236,7 +237,7 @@ def test_batched_divergence_matches_solo_runs():
 
     # divergence during the run: every trial overflows, each at its own step
     huge = Observable.from_letters(((1e160, "ZZ"), (1e160, "XI")), 0.0)
-    _, _, _, diverged = gd_batch(batch, huge.matrix, 0.0, psi, theta0, 1.0, 30)
+    _, _, _, diverged = gd_batch(batch, huge, 0.0, psi, theta0, 1.0, 30)
     assert sorted(diverged) == [0, 1, 2]
     for k in range(3):
         with pytest.raises(TrainingDivergenceError) as alone:
@@ -258,13 +259,13 @@ def test_batched_supervised_rows_match_solo_runs_and_divergence():
 
     def solo(k, init):
         ansatz = build_random_ansatz(2, 6, RngStream(14, (k,)))
-        return gd_batch(ansatz, obs.matrix, labels, feats, init[None, :], 1e-2, 30)
+        return gd_batch(ansatz, obs, labels, feats, init[None, :], 1e-2, 30)
 
-    healthy = gd_batch(batch, obs.matrix, labels, psi0, theta0, 1e-2, 30)
+    healthy = gd_batch(batch, obs, labels, psi0, theta0, 1e-2, 30)
     assert healthy[0].shape == (3, 31, 3) and healthy[3] == {}
     poisoned = theta0.copy()
     poisoned[1, 4] = np.nan
-    residuals, kernels, _, diverged = gd_batch(batch, obs.matrix, labels, psi0, poisoned, 1e-2, 30)
+    residuals, kernels, _, diverged = gd_batch(batch, obs, labels, psi0, poisoned, 1e-2, 30)
     assert diverged == {1: solo(1, poisoned[1])[3][0]}
     for k in (0, 2):
         assert np.array_equal(residuals[k], healthy[0][k])
@@ -273,3 +274,20 @@ def test_batched_supervised_rows_match_solo_runs_and_divergence():
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(residuals[k] - reference[0])) <= 1e-12 * scale
         assert np.max(np.abs(kernels[k] / reference_kernels[0] - 1.0)) <= 1e-12
+
+
+def test_gd_batch_checks_its_inputs_once():
+    # the engine's checks run before the first step, not at every step, and
+    # still refuse an input state that is not normalized
+    ansatz = build_random_ansatz(2, 3, RngStream(33))
+    theta0 = uniform_angles(3, RngStream(34))[None, :]
+    with pytest.raises(ValueError, match="normalized"):
+        gd_batch(ansatz, ZZ, 0.0, 2.0 * zero_state(2), theta0, 1e-2, 5)
+    with pytest.raises(ValueError, match="expected angles of shape"):
+        gd_batch(ansatz, ZZ, 0.0, zero_state(2), theta0.T, 1e-2, 5)
+    calls = []
+    check = kernels._check_inputs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_check_inputs", lambda *args: calls.append(1) or check(*args))
+        residuals, _, _, diverged = gd_batch(ansatz, ZZ, 0.0, zero_state(2), theta0, 1e-2, 5)
+    assert len(calls) == 1 and residuals.shape == (1, 6, 1) and not diverged
